@@ -31,13 +31,6 @@ def cosine_step(v: np.ndarray, grad: np.ndarray) -> tuple[float, float, bool]:
     return cos, vnorm / gnorm, False
 
 
-def reconstruct_optimal_velocities(
-    w_p_t: np.ndarray, w_g_t: np.ndarray, w_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Personal/global optimal velocities relative to the previous position."""
-    return w_p_t - w_prev, w_g_t - w_prev
-
-
 class _Extrema:
     __slots__ = ("lo", "hi", "count")
 
@@ -95,12 +88,10 @@ class CosineStats:
             self.grad_sq_count += 1
             self.grad_sq_min = min(self.grad_sq_min, info.grad_sq)
 
+            # Personal/global optimal velocities relative to the previous position.
             w_prev = info.w_pre - info.v_pre
-            v_p, v_g = reconstruct_optimal_velocities(
-                info.w_p_pre,
-                info.w_g_used if info.w_g_used is not None else w_prev,
-                w_prev,
-            )
+            w_g = info.w_g_used if info.w_g_used is not None else w_prev
+            v_p, v_g = info.w_p_pre - w_prev, w_g - w_prev
             recon = -self.h.alpha * info.grad
             recon = recon + (info.c0 - info.c1 - info.c2) * info.v_pre
             recon = recon + info.c1 * v_p + info.c2 * v_g
@@ -252,19 +243,21 @@ def estimate_gradient_lipschitz(
     rng: np.random.Generator,
     envelope: np.ndarray | None = None,
     spread: float = 1.0,
-) -> tuple[float, int]:
-    """Raw max of ||grad(w) - grad(w')|| / ||w - w'|| over sampled pairs.
+) -> tuple[list[float], int]:
+    """Raw max of ||g_k(w) - g_k(w')|| / ||w - w'|| over sampled pairs.
 
-    Points are drawn around the envelope (trajectory snapshots, or the origin
-    by default). Degenerate pairs are skipped; growing the probe count with
-    the same generator only extends the sampled prefix, so the estimate is
+    ``grad_fn`` maps w to K stacked gradients, shape (K, dim); the result
+    holds one maximum per row k, plus the number of pairs used. Points are
+    drawn around the envelope (trajectory snapshots, or the origin by
+    default). Degenerate pairs are skipped; growing the probe count with the
+    same generator only extends the sampled prefix, so the estimate is
     monotone non-decreasing in probes.
     """
     if probes < 2:
         raise ValueError("need at least 2 probe pairs")
     if envelope is None:
         envelope = np.zeros((1, dim))
-    best = 0.0
+    best = None
     used = 0
     for _ in range(probes):
         w1 = envelope[rng.integers(len(envelope))] + spread * rng.standard_normal(dim)
@@ -273,8 +266,8 @@ def estimate_gradient_lipschitz(
         if denom == 0.0:
             continue
         used += 1
-        ratio = float(np.linalg.norm(grad_fn(w1) - grad_fn(w2))) / denom
-        best = max(best, ratio)
+        ratios = [float(np.linalg.norm(row)) / denom for row in grad_fn(w1) - grad_fn(w2)]
+        best = [max(b, r) for b, r in zip(best or [0.0] * len(ratios), ratios)]
     if used == 0:
         raise ValueError("all probe pairs were degenerate")
     return best, used
@@ -289,39 +282,27 @@ def estimate_model_lipschitz(
     envelope: np.ndarray | None = None,
     spread: float = 1.0,
 ) -> LipschitzEstimate:
-    """Global and per-class gradient Lipschitz estimates around the envelope."""
-    if probes < 2:
-        raise ValueError("need at least 2 probe pairs")
+    """Global and per-class gradient Lipschitz estimates around the envelope.
+
+    A class absent from the population contributes a zero gradient, so its
+    estimate stays 0.
+    """
     per_class = class_batches(population, num_classes)
     dim = param_count(spec)
-    if envelope is None:
-        envelope = np.zeros((1, dim))
-    raw_global = 0.0
-    raw_classes = np.zeros(num_classes)
-    used = 0
-    for _ in range(probes):
-        w1 = envelope[rng.integers(len(envelope))] + spread * rng.standard_normal(dim)
-        w2 = envelope[rng.integers(len(envelope))] + spread * rng.standard_normal(dim)
-        denom = float(np.linalg.norm(w1 - w2))
-        if denom == 0.0:
-            continue
-        used += 1
-        g1 = gradient(spec, w1, population)
-        g2 = gradient(spec, w2, population)
-        raw_global = max(raw_global, float(np.linalg.norm(g1 - g2)) / denom)
-        for c, batch in enumerate(per_class):
-            if batch is None:
-                continue
-            gc1 = gradient(spec, w1, batch)
-            gc2 = gradient(spec, w2, batch)
-            raw_classes[c] = max(raw_classes[c], float(np.linalg.norm(gc1 - gc2)) / denom)
-    if used == 0:
-        raise ValueError("all probe pairs were degenerate")
+    absent = np.zeros(dim)
+
+    def grads(w):
+        return np.stack([gradient(spec, w, population)] + [
+            gradient(spec, w, batch) if batch is not None else absent for batch in per_class
+        ])
+
+    raw, used = estimate_gradient_lipschitz(grads, dim, probes, rng, envelope, spread)
+    raw_classes = np.array(raw[1:])
     return LipschitzEstimate(
-        l_global=SAFETY_FACTOR * raw_global,
+        l_global=SAFETY_FACTOR * raw[0],
         l_classes=SAFETY_FACTOR * raw_classes,
-        raw_global=raw_global,
-        raw_classes=raw_classes.copy(),
+        raw_global=raw[0],
+        raw_classes=raw_classes,
         samples=used,
     )
 

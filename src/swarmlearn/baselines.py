@@ -36,8 +36,68 @@ from .experiment import (
 from .model import Batch, accuracy, loss, loss_and_gradient
 from .swarm import ProtocolWiring, hybrid_update, initial_ps, run_round
 
-VARIANTS = ("fedavg", "fedavg_gtr", "cbdsl_plain", "cbdsl_gsc", "cbdsl_full", "pure_pso")
-LEARNING_VARIANTS = VARIANTS[:-1]
+
+@dataclass(frozen=True)
+class Variant:
+    """One row of the variant table: what a learning variant trains on and scores with.
+
+    ``score`` is the scoring set: ``shared`` (the global scoring set, which
+    also lets the server verify uploads), ``local`` (each worker's own
+    partition; nothing to verify against) or ``none`` (FedAvg keeps no
+    scoreboard).
+    """
+
+    name: str
+    swarm: bool             # swarm protocol; False means synchronized FedAvg
+    global_train: bool      # the training pool includes the shared training set
+    score: str
+
+
+VARIANTS = {
+    v.name: v
+    for v in (
+        Variant("fedavg", swarm=False, global_train=False, score="none"),
+        Variant("fedavg_gtr", swarm=False, global_train=True, score="none"),
+        Variant("cbdsl_plain", swarm=True, global_train=False, score="local"),
+        Variant("cbdsl_gsc", swarm=True, global_train=False, score="shared"),
+        Variant("cbdsl_full", swarm=True, global_train=True, score="shared"),
+    )
+}
+
+
+def check_variants(
+    names, num_workers: int, attack: AttackSpec, global_train: int, global_score: int
+) -> tuple[Variant, ...]:
+    """The table rows for ``names``; ValueError for anything a run cannot honour.
+
+    ``global_train``/``global_score`` are the sizes of the shared sets the
+    variants would run against.
+    """
+    bad_ids = sorted(i for i in attack.attacker_ids if not 0 <= i < num_workers)
+    if bad_ids:
+        raise ValueError(f"attacker ids out of range: {bad_ids}")
+    rows = []
+    for name in names:
+        if name == "pure_pso":
+            raise ValueError(
+                "variant pure_pso runs in optimization mode only and has no dataset wiring; "
+                "use swarmlearn.baselines.pso_minimize"
+            )
+        if name not in VARIANTS:
+            raise ValueError(f"unknown variant {name!r}")
+        row = VARIANTS[name]
+        if row.score == "shared" and global_score < 1:
+            raise ValueError(f"variant {name}: missing global scoring dataset (global_score)")
+        if row.global_train and global_train < 1:
+            raise ValueError(f"variant {name}: missing global training dataset (global_train)")
+        rows.append(row)
+    non_swarm = [row.name for row in rows if not row.swarm]
+    if attack.active and non_swarm:
+        raise ValueError(
+            f"attacks target the swarm report/upload path; remove variants {non_swarm} "
+            "or run them in a separate config"
+        )
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -125,16 +185,6 @@ def pso_minimize(objective, dim: int, h: HyperParameters, seed: int,
     return w_g, f_g, history
 
 
-def _variant_wiring(variant: str):
-    if variant == "cbdsl_plain":
-        return dict(with_global_train=False, score_mode="local", uses_shared_score=False)
-    if variant == "cbdsl_gsc":
-        return dict(with_global_train=False, score_mode="shared", uses_shared_score=True)
-    if variant == "cbdsl_full":
-        return dict(with_global_train=True, score_mode="shared", uses_shared_score=True)
-    raise ValueError(f"not a swarm variant: {variant}")
-
-
 def run_variant(
     variant: str,
     setup: ExperimentSetup,
@@ -144,20 +194,15 @@ def run_variant(
     diag: DiagnosticsFlags = DiagnosticsFlags(),
 ) -> RunResult:
     """Run one algorithm variant against the shared per-seed world."""
-    if variant == "pure_pso":
-        raise ValueError("pure_pso runs in optimization mode only; use pso_minimize")
-    if variant not in LEARNING_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if attack.attacker_ids and max(attack.attacker_ids) >= h.num_workers:
-        raise ValueError("attacker ids must be valid worker ids")
-    if variant in ("fedavg_gtr", "cbdsl_full") and (
-        setup.shared is None or not len(setup.shared.train)
-    ):
-        raise ValueError(f"variant {variant} requires a global training set (global_train)")
-
-    if variant in ("fedavg", "fedavg_gtr"):
-        return _run_fedavg(variant, setup, h, attack, diag)
-    return _run_swarm(variant, setup, h, attack, verification, diag)
+    shared = setup.shared
+    (row,) = check_variants(
+        (variant,), h.num_workers, attack,
+        len(shared.train) if shared is not None else 0,
+        len(shared.score) if shared is not None else 0,
+    )
+    if row.swarm:
+        return _run_swarm(row, setup, h, attack, verification, diag)
+    return _run_fedavg(row, setup, h, diag)
 
 
 def _maybe_genie(setup, h, diag):
@@ -176,18 +221,13 @@ def _divergence_row(worker_ws, genie):
     return {"divergence_mean": float(np.mean(divs)), "divergence_max": float(np.max(divs))}
 
 
-def _run_swarm(variant, setup, h, attack, verification, diag) -> RunResult:
-    wiring_kind = _variant_wiring(variant)
-    workers = make_workers(setup, h, wiring_kind["with_global_train"], wiring_kind["score_mode"])
+def _run_swarm(row: Variant, setup, h, attack, verification, diag) -> RunResult:
+    workers = make_workers(setup, h, row.global_train, row.score)
     if attack.active:
         workers = [
             replace(w, is_byzantine=w.worker_id in attack.attacker_ids) for w in workers
         ]
-    shared_score = (
-        setup.shared.score.as_batch()
-        if wiring_kind["uses_shared_score"] and setup.shared is not None and len(setup.shared.score)
-        else None
-    )
+    shared_score = setup.shared.score.as_batch() if row.score == "shared" else None
     wiring = ProtocolWiring(
         hyper=h,
         spec=setup.spec,
@@ -217,7 +257,7 @@ def _run_swarm(variant, setup, h, attack, verification, diag) -> RunResult:
         records.append(
             RoundRecord(
                 round_index=t,
-                variant=variant,
+                variant=row.name,
                 seed=setup.seed,
                 f_g=outcome.f_g,
                 train_loss_mean=float(outcome.batch_losses.mean()),
@@ -232,15 +272,12 @@ def _run_swarm(variant, setup, h, attack, verification, diag) -> RunResult:
             )
         )
     return RunResult(
-        variant, setup.seed, records, stats, min_loss, setup.partition_digest, setup.init_digest
+        row.name, setup.seed, records, stats, min_loss, setup.partition_digest, setup.init_digest
     )
 
 
-def _run_fedavg(variant, setup, h, attack, diag) -> RunResult:
-    if attack.active:
-        raise ValueError("attacks are wired into the swarm report/upload path only")
-    with_gtr = variant == "fedavg_gtr"
-    workers = make_workers(setup, h, with_gtr, "none")
+def _run_fedavg(row: Variant, setup, h, diag) -> RunResult:
+    workers = make_workers(setup, h, row.global_train, row.score)
     w = initial_w_for(setup, 0)
     genie, population = _maybe_genie(setup, h, diag)
     score_batch = (
@@ -262,7 +299,7 @@ def _run_fedavg(variant, setup, h, attack, diag) -> RunResult:
         records.append(
             RoundRecord(
                 round_index=t,
-                variant=variant,
+                variant=row.name,
                 seed=setup.seed,
                 f_g=math.nan,
                 train_loss_mean=float(losses.mean()),
@@ -277,5 +314,5 @@ def _run_fedavg(variant, setup, h, attack, diag) -> RunResult:
             )
         )
     return RunResult(
-        variant, setup.seed, records, None, min_loss, setup.partition_digest, setup.init_digest
+        row.name, setup.seed, records, None, min_loss, setup.partition_digest, setup.init_digest
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -21,19 +22,19 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .attacks import STRATEGIES, AttackSpec
-from .baselines import LEARNING_VARIANTS, DiagnosticsFlags, RunResult, run_variant
-from .core import DOMAIN_DIAG, INERTIA_MODES, HyperParameters, NonFiniteError, derived_rng
+from .attacks import AttackSpec
+from .baselines import VARIANTS, DiagnosticsFlags, RunResult, check_variants, run_variant
+from .core import DOMAIN_DIAG, HyperParameters, NonFiniteError, derived_rng
 from .experiment import (
-    INIT_MODES,
     DataConfig,
     ExperimentSetup,
     RoundRecord,
     build_setup,
+    check_model,
     initial_w_for,
     population_batch,
 )
-from .model import MODEL_KINDS, loss
+from .model import loss
 
 BASE_COLUMNS = (
     "round", "variant", "seed", "f_g",
@@ -84,19 +85,20 @@ class ExperimentConfig:
     lipschitz_probes: int
 
 
+# INI key of a dataclass field, where the two names differ.
+_INI_NAMES = {"inertia_mode": "inertia"}
+
+# [data] and [hyper] hold one key per field of these dataclasses, which also
+# own the defaults and the validation.
+_DATACLASS_SECTIONS = {"data": DataConfig, "hyper": HyperParameters}
+
 _SECTION_KEYS = {
     "experiment": {"variants", "seeds", "output_dir"},
-    "data": {
-        "source", "classes", "per_class", "dim", "separation", "test_per_class",
-        "idx_images", "idx_labels", "idx_test_images", "idx_test_labels",
-        "partition", "per_worker", "num_shards", "shards_per_worker",
-        "global_train", "global_score",
+    **{
+        section: {_INI_NAMES.get(f.name, f.name) for f in dataclasses.fields(cls)}
+        for section, cls in _DATACLASS_SECTIONS.items()
     },
     "model": {"kind", "hidden_dims", "init"},
-    "hyper": {
-        "c0", "delta_c1", "delta_c2", "alpha", "batch_size", "rounds",
-        "num_workers", "verify_tolerance", "inertia",
-    },
     "attack": {"strategy", "attackers", "scale", "verification"},
     "diagnostics": {"cosine_stats", "divergence", "lipschitz_probes"},
 }
@@ -131,7 +133,18 @@ def _str_list(raw: str) -> tuple[str, ...]:
     return tuple(tok for tok in raw.replace(",", " ").split())
 
 
+def _from_section(parser, section: str):
+    """The section's dataclass, built from its keys; missing keys keep the field defaults."""
+    cls = _DATACLASS_SECTIONS[section]
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        conv = str if f.default is None else type(f.default)
+        kwargs[f.name] = _get(parser, section, _INI_NAMES.get(f.name, f.name), f.default, conv)
+    return cls(**kwargs)
+
+
 def load_config(path: str) -> ExperimentConfig:
+    """Parse and validate a config; every check that needs no data runs here."""
     parser = configparser.ConfigParser(interpolation=None)
     read = parser.read(path)
     if not read:
@@ -143,122 +156,48 @@ def load_config(path: str) -> ExperimentConfig:
         unknown = set(parser.options(section)) - _SECTION_KEYS[section]
         if unknown:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    for required in ("experiment",):
-        if not parser.has_section(required):
-            raise ConfigError(f"missing required section [{required}]")
+    if not parser.has_section("experiment"):
+        raise ConfigError("missing required section [experiment]")
 
     variants = _get(parser, "experiment", "variants", (), _str_list)
     seeds = _get(parser, "experiment", "seeds", (), _int_list)
-    output_dir = _get(parser, "experiment", "output_dir", "out", str)
     if not variants:
         raise ConfigError("[experiment] variants must list at least one variant")
     if not seeds:
         raise ConfigError("[experiment] seeds must list at least one seed")
-    for v in variants:
-        if v == "pure_pso":
-            raise ConfigError(
-                "variant pure_pso is optimization-mode only and has no dataset wiring; "
-                "use swarmlearn.baselines.pso_minimize"
-            )
-        if v not in LEARNING_VARIANTS:
-            raise ConfigError(f"unknown variant {v!r}")
 
     try:
-        data = DataConfig(
-            source=_get(parser, "data", "source", "synthetic", str),
-            classes=_get(parser, "data", "classes", 10, int),
-            per_class=_get(parser, "data", "per_class", 900, int),
-            dim=_get(parser, "data", "dim", 20, int),
-            separation=_get(parser, "data", "separation", 1.6, float),
-            test_per_class=_get(parser, "data", "test_per_class", 100, int),
-            idx_images=_get(parser, "data", "idx_images", None, str),
-            idx_labels=_get(parser, "data", "idx_labels", None, str),
-            idx_test_images=_get(parser, "data", "idx_test_images", None, str),
-            idx_test_labels=_get(parser, "data", "idx_test_labels", None, str),
-            partition=_get(parser, "data", "partition", "shard", str),
-            per_worker=_get(parser, "data", "per_worker", 300, int),
-            num_shards=_get(parser, "data", "num_shards", 60, int),
-            shards_per_worker=_get(parser, "data", "shards_per_worker", 2, int),
-            global_train=_get(parser, "data", "global_train", 600, int),
-            global_score=_get(parser, "data", "global_score", 500, int),
+        data = _from_section(parser, "data")
+        hyper = _from_section(parser, "hyper")
+        model_kind = _get(parser, "model", "kind", "softmax_regression", str)
+        hidden_dims = _get(parser, "model", "hidden_dims", (), _int_list)
+        init_mode = _get(parser, "model", "init", "shared", str)
+        check_model(model_kind, hidden_dims, init_mode)
+        attack = AttackSpec(
+            frozenset(_get(parser, "attack", "attackers", (), _int_list)),
+            _get(parser, "attack", "strategy", "none", str),
+            _get(parser, "attack", "scale", 10.0, float),
         )
+        check_variants(variants, hyper.num_workers, attack, data.global_train, data.global_score)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    model_kind = _get(parser, "model", "kind", "softmax_regression", str)
-    if model_kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {model_kind!r}")
-    hidden_dims = _get(parser, "model", "hidden_dims", (), _int_list)
-    init_mode = _get(parser, "model", "init", "shared", str)
-    if init_mode not in INIT_MODES:
-        raise ConfigError(f"model init must be one of {INIT_MODES}")
-    if model_kind == "mlp" and not hidden_dims:
-        raise ConfigError("model kind mlp requires hidden_dims")
-    if model_kind == "softmax_regression" and hidden_dims:
-        raise ConfigError("softmax_regression takes no hidden_dims")
-
-    inertia = _get(parser, "hyper", "inertia", "constant", str)
-    if inertia not in INERTIA_MODES:
-        raise ConfigError(f"inertia must be one of {INERTIA_MODES}")
-    try:
-        hyper = HyperParameters(
-            c0=_get(parser, "hyper", "c0", 1.0, float),
-            delta_c1=_get(parser, "hyper", "delta_c1", 1.0, float),
-            delta_c2=_get(parser, "hyper", "delta_c2", 1.0, float),
-            alpha=_get(parser, "hyper", "alpha", 0.005, float),
-            batch_size=_get(parser, "hyper", "batch_size", 10, int),
-            rounds=_get(parser, "hyper", "rounds", 200, int),
-            num_workers=_get(parser, "hyper", "num_workers", 10, int),
-            verify_tolerance=_get(parser, "hyper", "verify_tolerance", 1e-9, float),
-            seed=0,
-            inertia_mode=inertia,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    strategy = _get(parser, "attack", "strategy", "none", str)
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown attack strategy {strategy!r}")
-    attackers = _get(parser, "attack", "attackers", (), _int_list)
-    scale = _get(parser, "attack", "scale", 10.0, float)
-    verification = _get(parser, "attack", "verification", True, _bool)
-    attack = AttackSpec(frozenset(attackers), strategy, scale)
-    if attack.active:
-        bad = [i for i in attackers if not 0 <= i < hyper.num_workers]
-        if bad:
-            raise ConfigError(f"attacker ids out of range: {bad}")
-        non_swarm = [v for v in variants if not v.startswith("cbdsl")]
-        if non_swarm:
-            raise ConfigError(
-                f"attacks target the swarm report/upload path; remove variants {non_swarm} "
-                "or run them in a separate config"
-            )
-
-    diagnostics = DiagnosticsFlags(
-        cosine_stats=_get(parser, "diagnostics", "cosine_stats", False, _bool),
-        divergence=_get(parser, "diagnostics", "divergence", False, _bool),
-    )
-    lipschitz_probes = _get(parser, "diagnostics", "lipschitz_probes", 16, int)
-
-    for v in variants:
-        if v in ("cbdsl_gsc", "cbdsl_full") and data.global_score < 1:
-            raise ConfigError(f"variant {v}: missing global scoring dataset (global_score)")
-        if v in ("fedavg_gtr", "cbdsl_full") and data.global_train < 1:
-            raise ConfigError(f"variant {v}: missing global training dataset (global_train)")
 
     return ExperimentConfig(
         variants=variants,
         seeds=seeds,
-        output_dir=output_dir,
+        output_dir=_get(parser, "experiment", "output_dir", "out", str),
         data=data,
         model_kind=model_kind,
         hidden_dims=hidden_dims,
         init_mode=init_mode,
         hyper=hyper,
         attack=attack,
-        verification=verification,
-        diagnostics=diagnostics,
-        lipschitz_probes=lipschitz_probes,
+        verification=_get(parser, "attack", "verification", True, _bool),
+        diagnostics=DiagnosticsFlags(
+            cosine_stats=_get(parser, "diagnostics", "cosine_stats", False, _bool),
+            divergence=_get(parser, "diagnostics", "divergence", False, _bool),
+        ),
+        lipschitz_probes=_get(parser, "diagnostics", "lipschitz_probes", 16, int),
     )
 
 
@@ -369,18 +308,20 @@ def run_experiment(config_path: str, output_dir: str | None = None,
     seeds = (seed_override,) if seed_override is not None else cfg.seeds
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     runs_dir = out / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
     diag_cols = _diag_columns(cfg)
 
     results: list[tuple[ExperimentSetup, RunResult]] = []
     setups: dict[int, ExperimentSetup] = {}
     current = ("data setup", -1)
     try:
+        # A ValueError while building a seed's world means the config cannot
+        # be met for that seed; past this point a ValueError is a fault.
         for seed in seeds:
             current = ("data setup", seed)
             setups[seed] = build_setup(
                 cfg.data, cfg.model_kind, cfg.hidden_dims, cfg.hyper, seed, cfg.init_mode
             )
+        runs_dir.mkdir(parents=True, exist_ok=True)
         for variant in cfg.variants:
             for seed in seeds:
                 current = (variant, seed)
@@ -393,15 +334,12 @@ def run_experiment(config_path: str, output_dir: str | None = None,
                 results.append((setups[seed], result))
                 print(f"ran {variant} seed {seed}: "
                       f"final accuracy {result.records[-1].test_accuracy:.4f}")
-    except NonFiniteError as exc:
-        print(f"runtime error in {current[0]} seed {current[1]}: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"config error in {current[0]} seed {current[1]}: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
-        print(f"runtime error in {current[0]} seed {current[1]}: {exc}", file=sys.stderr)
-        return 3
+        infeasible = (current[0] == "data setup" and isinstance(exc, ValueError)
+                      and not isinstance(exc, NonFiniteError))
+        kind, code = ("config error", 2) if infeasible else ("runtime error", 3)
+        print(f"{kind} in {current[0]} seed {current[1]}: {exc}", file=sys.stderr)
+        return code
 
     _write_table(out / "summary.csv", SUMMARY_COLUMNS, [summarize(r) for _, r in results])
 
@@ -437,8 +375,10 @@ def report_communication(output_dir: str) -> int:
     table = []
     for seed in sorted(by_seed):
         totals = by_seed[seed]
-        fedavg_variant = next((v for v in ("fedavg", "fedavg_gtr") if v in totals), None)
-        swarm_variants = [v for v in totals if v.startswith("cbdsl")]
+        fedavg_variant = next(
+            (v.name for v in VARIANTS.values() if not v.swarm and v.name in totals), None
+        )
+        swarm_variants = [v for v in totals if v in VARIANTS and VARIANTS[v].swarm]
         if fedavg_variant is None or not swarm_variants:
             print(f"warning: seed {seed} lacks a fedavg/swarm pair; skipped", file=sys.stderr)
             continue

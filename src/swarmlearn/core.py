@@ -71,7 +71,6 @@ class HyperParameters:
     rounds: int = 200
     num_workers: int = 50
     verify_tolerance: float = 1e-9
-    seed: int = 0
     inertia_mode: str = "constant"
 
     def __post_init__(self):
@@ -89,8 +88,6 @@ class HyperParameters:
             raise ValueError("num_workers must be >= 1")
         if self.verify_tolerance <= 0:
             raise ValueError("verify_tolerance must be > 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if self.inertia_mode not in INERTIA_MODES:
             raise ValueError(f"inertia_mode must be one of {INERTIA_MODES}")
 

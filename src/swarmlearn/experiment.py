@@ -94,6 +94,17 @@ def _digest_array(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()
 
 
+def check_model(kind: str, hidden_dims: tuple[int, ...], init_mode: str) -> None:
+    """Reject a model config before any data exists.
+
+    The input size is only known once the data is loaded, so ModelSpec runs
+    its kind and hidden-layer rules here on placeholder sizes.
+    """
+    if init_mode not in INIT_MODES:
+        raise ValueError(f"init mode must be one of {INIT_MODES}")
+    ModelSpec(kind, input_dim=1, num_classes=2, hidden_dims=tuple(hidden_dims))
+
+
 def build_setup(
     cfg: DataConfig,
     spec_kind: str,
@@ -103,8 +114,7 @@ def build_setup(
     init_mode: str = "shared",
 ) -> ExperimentSetup:
     """Build the per-seed world every variant shares."""
-    if init_mode not in INIT_MODES:
-        raise ValueError(f"init mode must be one of {INIT_MODES}")
+    check_model(spec_kind, hidden_dims, init_mode)
 
     if cfg.source == "synthetic":
         train = datamod.synthetic_blobs(

@@ -30,7 +30,7 @@ def blob_dataset():
 
 @pytest.fixture
 def default_hyper():
-    return HyperParameters(rounds=10, num_workers=4, batch_size=5, seed=3)
+    return HyperParameters(rounds=10, num_workers=4, batch_size=5)
 
 
 def fit_softmax(spec, batch, steps=400, lr=0.5):

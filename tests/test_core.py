@@ -75,7 +75,6 @@ class TestHyperParameters:
             {"delta_c1": -0.5},
             {"verify_tolerance": 0.0},
             {"inertia_mode": "quadratic"},
-            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
