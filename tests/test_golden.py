@@ -1,4 +1,4 @@
-"""Golden outputs: the SHA-256 of every CSV from two short pinned runs.
+"""Golden outputs: the SHA-256 of every CSV from three short pinned runs.
 
 A rerun-equals-rerun check cannot see a refactor that drifts both runs the
 same way; these digests can. They hold for one numpy/BLAS build, so a
@@ -27,6 +27,13 @@ def audit_parser() -> configparser.ConfigParser:
     """The desk world with attackers screened and every diagnostic on."""
     parser = desk_parser(variants="cbdsl_gsc, cbdsl_full")
     parser["attack"].update(strategy="fake_loss_garbage", attackers="0, 3", verification="on")
+    parser["diagnostics"].update(cosine_stats="on", divergence="on", lipschitz_probes="16")
+    return parser
+
+
+def fedavg_diag_parser() -> configparser.ConfigParser:
+    """Both FedAvg variants beside a swarm one, with cosine and divergence columns on."""
+    parser = desk_parser(variants="fedavg, fedavg_gtr, cbdsl_full")
     parser["diagnostics"].update(cosine_stats="on", divergence="on", lipschitz_probes="16")
     return parser
 
@@ -72,6 +79,17 @@ AUDIT_DIGESTS = {
     "summary.csv": "b2b7f6e6eeaae7135b34a2a829a2df9d8d4ae16b030f1fc2c7859547e3c48106",
 }
 
+FEDAVG_DIAG_DIGESTS = {
+    "diagnostics.csv": "128b3a1c18cfd2eed4d3918069a2e9625ae3e197637613b57869dbfdf212597f",
+    "runs/cbdsl_full_1.csv": "c16bc64a83d21957fa8299f990e862dda09b2585adde92b357082775dd511fd8",
+    "runs/cbdsl_full_2.csv": "d03ab4efae809bac1891bc60d6ab0ddbf46c74d6c2eb4605ce081951bc477a31",
+    "runs/fedavg_1.csv": "816e257ee7b6816edc6cff195d7fe4ff157183e06d201dc63b7d6fc545a5d2d9",
+    "runs/fedavg_2.csv": "041f817461f69fb454d1306852d6a0da20b5877c22b25978be65533e5c58c7e7",
+    "runs/fedavg_gtr_1.csv": "26a7051ef2fb2707524ca64687e89bb2d2ee8c14d382eb7adcc1509854a40f38",
+    "runs/fedavg_gtr_2.csv": "9890c9ed043912a4b5cbfddee4e6c71f3548761783eba18605daf22a25c8af79",
+    "summary.csv": "241e090ace3525952d069954785b02d51910c262e0491cc8706a7bd0130ac786",
+}
+
 
 def test_desk_digests(tmp_path):
     assert_digests(csv_digests(desk_parser(), tmp_path), DESK_DIGESTS)
@@ -79,3 +97,7 @@ def test_desk_digests(tmp_path):
 
 def test_audit_digests(tmp_path):
     assert_digests(csv_digests(audit_parser(), tmp_path), AUDIT_DIGESTS)
+
+
+def test_fedavg_diagnostics_digests(tmp_path):
+    assert_digests(csv_digests(fedavg_diag_parser(), tmp_path), FEDAVG_DIAG_DIGESTS)
