@@ -234,6 +234,8 @@ class LipschitzEstimate:
     samples: int
 
 SAFETY_FACTOR = 1.5
+# Fewest probe pairs the Lipschitz estimator accepts; config loading checks it too.
+MIN_LIPSCHITZ_PROBES = 2
 
 
 def estimate_gradient_lipschitz(
@@ -253,8 +255,8 @@ def estimate_gradient_lipschitz(
     same generator only extends the sampled prefix, so the estimate is
     monotone non-decreasing in probes.
     """
-    if probes < 2:
-        raise ValueError("need at least 2 probe pairs")
+    if probes < MIN_LIPSCHITZ_PROBES:
+        raise ValueError(f"need at least {MIN_LIPSCHITZ_PROBES} probe pairs")
     if envelope is None:
         envelope = np.zeros((1, dim))
     best = None

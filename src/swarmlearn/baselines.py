@@ -34,7 +34,7 @@ from .experiment import (
     population_batch,
 )
 from .model import Batch, accuracy, loss, loss_and_gradient
-from .swarm import ProtocolWiring, hybrid_update, initial_ps, run_round
+from .swarm import ProtocolWiring, RoundOutcome, hybrid_update, initial_ps, run_round
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,11 @@ def run_variant(
     verification: bool = True,
     diag: DiagnosticsFlags = DiagnosticsFlags(),
 ) -> RunResult:
-    """Run one algorithm variant against the shared per-seed world."""
+    """Run one algorithm variant against the shared per-seed world.
+
+    The variant's kind only decides how a round is taken; test accuracy, the
+    diagnostics and the round records are built here the same way for all.
+    """
     shared = setup.shared
     (row,) = check_variants(
         (variant,), h.num_workers, attack,
@@ -201,59 +205,29 @@ def run_variant(
         len(shared.score) if shared is not None else 0,
     )
     if row.swarm:
-        return _run_swarm(row, setup, h, attack, verification, diag)
-    return _run_fedavg(row, setup, h, diag)
-
-
-def _maybe_genie(setup, h, diag):
-    if not diag.divergence:
-        return None, None
-    population = population_batch(setup)
-    genie = analysis.GenieState(initial_w_for(setup, 0), np.zeros(setup.init_w.shape[-1]))
-    return genie, population
-
-
-def _divergence_row(worker_ws, genie):
-    gnorm = float(np.linalg.norm(genie.w))
-    if gnorm == 0.0:
-        return {"divergence_mean": math.nan, "divergence_max": math.nan}
-    divs = [float(np.linalg.norm(w - genie.w)) / gnorm for w in worker_ws]
-    return {"divergence_mean": float(np.mean(divs)), "divergence_max": float(np.max(divs))}
-
-
-def _run_swarm(row: Variant, setup, h, attack, verification, diag) -> RunResult:
-    workers = make_workers(setup, h, row.global_train, row.score)
-    if attack.active:
-        workers = [
-            replace(w, is_byzantine=w.worker_id in attack.attacker_ids) for w in workers
-        ]
-    shared_score = setup.shared.score.as_batch() if row.score == "shared" else None
-    wiring = ProtocolWiring(
-        hyper=h,
-        spec=setup.spec,
-        shared_score=shared_score,
-        verification=verification,
-        attack=attack,
-    )
-    ps = initial_ps()
-    stats = analysis.CosineStats(h) if diag.cosine_stats else None
-    genie, population = _maybe_genie(setup, h, diag)
+        rounds = _swarm_rounds(row, setup, h, attack, verification, diag.cosine_stats)
+    else:
+        rounds = _fedavg_rounds(row, setup, h, diag.cosine_stats)
+    # FedAvg takes no swarm steps, so it has no alignment statistics.
+    stats = analysis.CosineStats(h) if diag.cosine_stats and row.swarm else None
+    genie = population = None
+    if diag.divergence:
+        population = population_batch(setup)
+        genie = analysis.GenieState(initial_w_for(setup, 0), np.zeros(setup.init_w.shape[-1]))
 
     records = []
     min_loss = math.inf
-    for t in range(h.rounds):
-        workers, ps, outcome = run_round(workers, ps, wiring, t, collect_vectors=diag.cosine_stats)
+    for t, (outcome, w_test, worker_ws, observed_loss) in enumerate(rounds):
         diag_row: dict[str, float] = {}
         if stats is not None:
             diag_row.update(stats.consume_round(outcome.step_infos))
         if genie is not None:
             genie = analysis.genie_step(genie, h, setup.spec, population, t)
-            diag_row.update(_divergence_row([w.w for w in workers], genie))
+            diag_row.update(_divergence_row(worker_ws, genie))
+        min_loss = min(min_loss, observed_loss)
         test_acc = (
-            accuracy(setup.spec, ps.w_g, setup.test) if ps.w_g is not None else math.nan
+            accuracy(setup.spec, w_test, setup.test) if w_test is not None else math.nan
         )
-        if math.isfinite(outcome.f_g):
-            min_loss = min(min_loss, outcome.f_g)
         records.append(
             RoundRecord(
                 round_index=t,
@@ -276,43 +250,53 @@ def _run_swarm(row: Variant, setup, h, attack, verification, diag) -> RunResult:
     )
 
 
-def _run_fedavg(row: Variant, setup, h, diag) -> RunResult:
-    workers = make_workers(setup, h, row.global_train, row.score)
-    w = initial_w_for(setup, 0)
-    genie, population = _maybe_genie(setup, h, diag)
-    score_batch = (
-        setup.shared.score.as_batch()
-        if setup.shared is not None and len(setup.shared.score)
-        else None
-    )
+def _divergence_row(worker_ws, genie):
+    gnorm = float(np.linalg.norm(genie.w))
+    if gnorm == 0.0:
+        return {"divergence_mean": math.nan, "divergence_max": math.nan}
+    divs = [float(np.linalg.norm(w - genie.w)) / gnorm for w in worker_ws]
+    return {"divergence_mean": float(np.mean(divs)), "divergence_max": float(np.max(divs))}
 
-    records = []
-    min_loss = math.inf
+
+def _swarm_rounds(row: Variant, setup, h, attack, verification, collect_vectors):
+    """Swarm protocol rounds, each as (outcome, model to test, worker models,
+    observed loss); the model to test is the global best, None until one exists."""
+    workers = make_workers(setup, h, row.global_train, row.score)
+    if attack.active:
+        workers = [
+            replace(w, is_byzantine=w.worker_id in attack.attacker_ids) for w in workers
+        ]
+    shared_score = setup.shared.score.as_batch() if row.score == "shared" else None
+    wiring = ProtocolWiring(
+        hyper=h,
+        spec=setup.spec,
+        shared_score=shared_score,
+        verification=verification,
+        attack=attack,
+    )
+    ps = initial_ps()
+    for t in range(h.rounds):
+        workers, ps, outcome = run_round(workers, ps, wiring, t, collect_vectors=collect_vectors)
+        observed = outcome.f_g if math.isfinite(outcome.f_g) else math.inf
+        yield outcome, ps.w_g, [w.w for w in workers], observed
+
+
+def _fedavg_rounds(row: Variant, setup, h, observe: bool):
+    """FedAvg rounds in the shape of ``_swarm_rounds``: every worker uplinks
+    its gradient and the server broadcasts the new consensus, which all
+    workers then hold. With ``observe`` the consensus is scored on the shared
+    scoring set, where there is one; otherwise the observed loss is inf."""
+    workers = make_workers(setup, h, row.global_train, row.score)
+    shared = setup.shared
+    score_batch = (
+        shared.score.as_batch() if observe and shared is not None and len(shared.score) else None
+    )
+    w = initial_w_for(setup, 0)
     for t in range(h.rounds):
         w, losses = fedavg_round(workers, w, h, setup.spec, t)
-        diag_row: dict[str, float] = {}
-        if genie is not None:
-            genie = analysis.genie_step(genie, h, setup.spec, population, t)
-            diag_row.update(_divergence_row([w] * len(workers), genie))
-        if diag.cosine_stats and score_batch is not None:
-            min_loss = min(min_loss, loss(setup.spec, w, score_batch))
-        records.append(
-            RoundRecord(
-                round_index=t,
-                variant=row.name,
-                seed=setup.seed,
-                f_g=math.nan,
-                train_loss_mean=float(losses.mean()),
-                train_loss_min=float(losses.min()),
-                train_loss_max=float(losses.max()),
-                test_accuracy=accuracy(setup.spec, w, setup.test),
-                scalar_uplinks=0,
-                vector_uplinks=len(workers),
-                vector_broadcasts=1,
-                detections=0,
-                diag=diag_row,
-            )
+        outcome = RoundOutcome(
+            f_g=math.nan, w_g_changed=True, batch_losses=losses, scalar_uplinks=0,
+            vector_uplinks=len(workers), vector_broadcasts=1, detections=0, step_infos=None,
         )
-    return RunResult(
-        row.name, setup.seed, records, None, min_loss, setup.partition_digest, setup.init_digest
-    )
+        observed = loss(setup.spec, w, score_batch) if score_batch is not None else math.inf
+        yield outcome, w, [w] * len(workers), observed

@@ -181,6 +181,16 @@ def load_config(path: str) -> ExperimentConfig:
         check_variants(variants, hyper.num_workers, attack, data.global_train, data.global_score)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    diagnostics = DiagnosticsFlags(
+        cosine_stats=_get(parser, "diagnostics", "cosine_stats", False, _bool),
+        divergence=_get(parser, "diagnostics", "divergence", False, _bool),
+    )
+    lipschitz_probes = _get(parser, "diagnostics", "lipschitz_probes", 16, int)
+    if diagnostics.cosine_stats and lipschitz_probes < analysis.MIN_LIPSCHITZ_PROBES:
+        raise ConfigError(
+            f"[diagnostics] lipschitz_probes must be >= {analysis.MIN_LIPSCHITZ_PROBES} "
+            "when cosine_stats is on"
+        )
 
     return ExperimentConfig(
         variants=variants,
@@ -193,11 +203,8 @@ def load_config(path: str) -> ExperimentConfig:
         hyper=hyper,
         attack=attack,
         verification=_get(parser, "attack", "verification", True, _bool),
-        diagnostics=DiagnosticsFlags(
-            cosine_stats=_get(parser, "diagnostics", "cosine_stats", False, _bool),
-            divergence=_get(parser, "diagnostics", "divergence", False, _bool),
-        ),
-        lipschitz_probes=_get(parser, "diagnostics", "lipschitz_probes", 16, int),
+        diagnostics=diagnostics,
+        lipschitz_probes=lipschitz_probes,
     )
 
 
@@ -219,18 +226,18 @@ def _diag_columns(cfg: ExperimentConfig) -> tuple[str, ...]:
 
 
 def write_run_csv(path: Path, records: list[RoundRecord], diag_cols: tuple[str, ...]):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(BASE_COLUMNS + diag_cols)
-        for r in records:
-            row = [
-                r.round_index, r.variant, r.seed, _fmt(r.f_g),
-                _fmt(r.train_loss_mean), _fmt(r.train_loss_min), _fmt(r.train_loss_max),
-                _fmt(r.test_accuracy), r.scalar_uplinks, r.vector_uplinks,
-                r.vector_broadcasts, r.detections,
-            ]
-            row += [_fmt(r.diag.get(col, math.nan)) for col in diag_cols]
-            writer.writerow(row)
+    rows = [
+        {
+            "round": r.round_index, "variant": r.variant, "seed": r.seed, "f_g": r.f_g,
+            "train_loss_mean": r.train_loss_mean, "train_loss_min": r.train_loss_min,
+            "train_loss_max": r.train_loss_max, "test_accuracy": r.test_accuracy,
+            "scalar_uplinks": r.scalar_uplinks, "vector_uplinks": r.vector_uplinks,
+            "vector_broadcasts": r.vector_broadcasts, "detections": r.detections,
+            **{col: r.diag.get(col, math.nan) for col in diag_cols},
+        }
+        for r in records
+    ]
+    _write_table(path, BASE_COLUMNS + diag_cols, rows)
 
 
 def summarize(result: RunResult) -> dict:
@@ -322,6 +329,9 @@ def run_experiment(config_path: str, output_dir: str | None = None,
                 cfg.data, cfg.model_kind, cfg.hidden_dims, cfg.hyper, seed, cfg.init_mode
             )
         runs_dir.mkdir(parents=True, exist_ok=True)
+        # Tables of an earlier run would sit beside this run's files as if its own.
+        for stale in ("summary.csv", "diagnostics.csv", "communication.csv"):
+            (out / stale).unlink(missing_ok=True)
         for variant in cfg.variants:
             for seed in seeds:
                 current = (variant, seed)

@@ -46,10 +46,6 @@ def worker_stream(seed: int, worker_id: int) -> RngStream:
     return RngStream(seed, DOMAIN_WORKER, worker_id)
 
 
-def orchestrator_stream(seed: int) -> RngStream:
-    return RngStream(seed, DOMAIN_ORCHESTRATOR, 0)
-
-
 def attack_stream(seed: int, worker_id: int) -> RngStream:
     return RngStream(seed, DOMAIN_ATTACK, worker_id)
 

@@ -45,7 +45,6 @@ class WorkerState:
 class PsState:
     w_g: np.ndarray | None
     f_g: float
-    round_index: int
     blacklist: set[int] = field(default_factory=set)
 
 
@@ -185,13 +184,15 @@ def score_and_update_best(
     return state, ScalarReport(state.worker_id, state.f_p)
 
 
-def select_global_best(reports: list[ScalarReport], ps: PsState) -> int | None:
+def select_global_best(
+    reports: list[ScalarReport], f_g: float, blacklist: set[int]
+) -> int | None:
     """Lowest claim wins (ties to lowest id); None when nothing beats f_g."""
-    eligible = [r for r in reports if r.worker_id not in ps.blacklist]
+    eligible = [r for r in reports if r.worker_id not in blacklist]
     if not eligible:
         return None
     best = min(eligible, key=lambda r: (r.claimed, r.worker_id))
-    return best.worker_id if best.claimed < ps.f_g else None
+    return best.worker_id if best.claimed < f_g else None
 
 
 def verify_upload(
@@ -257,7 +258,7 @@ def run_round(
     changed = False
     candidates = list(collected)
     while True:
-        winner = select_global_best(candidates, PsState(w_g, f_g, t, blacklist))
+        winner = select_global_best(candidates, f_g, blacklist)
         if winner is None:
             break
         claim = next(r.claimed for r in candidates if r.worker_id == winner)
@@ -279,7 +280,7 @@ def run_round(
             changed = True
             break
 
-    new_ps = PsState(w_g, f_g, t + 1, blacklist)
+    new_ps = PsState(w_g, f_g, blacklist)
     outcome = RoundOutcome(
         f_g=f_g,
         w_g_changed=changed,
@@ -294,4 +295,4 @@ def run_round(
 
 
 def initial_ps() -> PsState:
-    return PsState(w_g=None, f_g=math.inf, round_index=0, blacklist=set())
+    return PsState(w_g=None, f_g=math.inf, blacklist=set())

@@ -243,6 +243,35 @@ class TestReport:
         assert report_communication(str(tmp_path)) == 2
 
 
+class TestStaleTables:
+    def test_failed_rerun_leaves_no_summary(self, tmp_path, monkeypatch):
+        import swarmlearn.cli as cli_mod
+
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run_experiment(str(path)) == 0
+        assert report_communication(str(out)) == 0
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("worker process died")
+
+        monkeypatch.setattr(cli_mod, "run_variant", explode)
+        assert run_experiment(str(path)) == 3
+        assert not (out / "summary.csv").exists()
+        assert not (out / "communication.csv").exists()
+        # nothing left for report to read stale totals from
+        assert report_communication(str(out)) == 2
+
+    def test_rerun_without_diagnostics_drops_their_table(self, tmp_path):
+        out = tmp_path / "out"
+        plain = BASE_CONFIG.format(out=out)
+        diag = plain + "\n[diagnostics]\ncosine_stats = on\nlipschitz_probes = 4\n"
+        assert run_experiment(str(write_config(tmp_path, diag))) == 0
+        assert (out / "diagnostics.csv").exists()
+        assert run_experiment(str(write_config(tmp_path, plain))) == 0
+        assert not (out / "diagnostics.csv").exists()
+
+
 class TestMain:
     def test_run_and_report_roundtrip(self, tmp_path):
         path = write_config(tmp_path)

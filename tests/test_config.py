@@ -56,6 +56,8 @@ def test_variant_table_matches_the_paper():
         # each of these used to pass load_config and fail only once running
         ("batch_size = 5", "batch_size = 5\n[model]\nkind = mlp\nhidden_dims = 0"),
         ("batch_size = 5", "batch_size = 5\n[attack]\nattackers = 7"),
+        # used to run every pair, then die in the Lipschitz estimator (exit 1)
+        ("batch_size = 5", "batch_size = 5\n[diagnostics]\ncosine_stats = on\nlipschitz_probes = 1"),
     ],
 )
 def test_rejected_before_anything_runs(tmp_path, old, new):

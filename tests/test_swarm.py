@@ -175,21 +175,18 @@ class TestScoreAndBest:
 class TestSelection:
     def test_argmin_with_id_tiebreak(self):
         reports = [ScalarReport(1, 0.9), ScalarReport(2, 0.4), ScalarReport(3, 0.4)]
-        ps = PsState(None, 0.7, 0, set())
-        assert select_global_best(reports, ps) == 2
+        assert select_global_best(reports, 0.7, set()) == 2
 
     def test_keep_when_nothing_beats_global(self):
         reports = [ScalarReport(1, 0.9), ScalarReport(2, 0.8)]
-        ps = PsState(None, 0.5, 0, set())
-        assert select_global_best(reports, ps) is None
+        assert select_global_best(reports, 0.5, set()) is None
 
     def test_blacklisted_claimant_skipped(self):
         reports = [ScalarReport(1, 0.2), ScalarReport(2, 0.4)]
-        ps = PsState(None, 0.7, 0, {1})
-        assert select_global_best(reports, ps) == 2
+        assert select_global_best(reports, 0.7, {1}) == 2
 
     def test_empty_report_set(self):
-        assert select_global_best([], PsState(None, 0.5, 0, set())) is None
+        assert select_global_best([], 0.5, set()) is None
 
 
 class TestVerification:
@@ -227,7 +224,7 @@ class TestRunRound:
 
     def test_keep_round_costs_nothing(self):
         setup, h, workers, wiring = swarm_world(seed=9)
-        ps = PsState(np.zeros(param_count(setup.spec)), -1.0, 0, set())
+        ps = PsState(np.zeros(param_count(setup.spec)), -1.0, set())
         workers, ps2, outcome = run_round(workers, ps, wiring, 0)
         assert outcome.vector_uplinks == 0
         assert outcome.vector_broadcasts == 0
