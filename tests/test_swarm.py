@@ -273,3 +273,26 @@ class TestRunRound:
             assert outcome.detections == 0
             assert outcome.scalar_uplinks == h.num_workers - 1
         assert ps.blacklist == {0}
+
+    def test_each_rejection_invites_the_next_lowest_claim(self):
+        # both forged claims undercut every honest one: the server rejects
+        # and blacklists them in turn, then accepts an honest upload
+        attack = AttackSpec(frozenset({0, 3}), "fake_loss_garbage")
+        setup, h, workers, wiring = swarm_world(seed=12, attack=attack)
+        workers, ps, outcome = run_round(workers, initial_ps(), wiring, 0)
+        assert outcome.vector_uplinks == 3
+        assert outcome.detections == 2
+        assert outcome.vector_broadcasts == 1
+        assert ps.blacklist == {0, 3}
+        assert loss(setup.spec, ps.w_g, wiring.shared_score) == ps.f_g
+        # blacklisted workers report nothing and are not detected again
+        workers, ps, outcome = run_round(workers, ps, wiring, 1)
+        assert outcome.scalar_uplinks == 2
+        assert outcome.detections == 0
+
+        # unverified, the lowest forged claim is trusted at once
+        _, _, workers, wiring = swarm_world(seed=12, attack=attack, verification=False)
+        _, ps, outcome = run_round(workers, initial_ps(), wiring, 0)
+        assert outcome.vector_uplinks == 1
+        assert outcome.detections == 0
+        assert ps.blacklist == set()
