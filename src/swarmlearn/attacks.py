@@ -23,6 +23,8 @@ class AttackSpec:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown attack strategy {self.strategy!r}")
+        if not math.isfinite(self.scale):
+            raise ValueError("attack scale must be finite")
 
     @property
     def active(self) -> bool:

@@ -295,8 +295,8 @@ def _fedavg_rounds(row: Variant, setup, h, observe: bool):
     for t in range(h.rounds):
         w, losses = fedavg_round(workers, w, h, setup.spec, t)
         outcome = RoundOutcome(
-            f_g=math.nan, w_g_changed=True, batch_losses=losses, scalar_uplinks=0,
-            vector_uplinks=len(workers), vector_broadcasts=1, detections=0, step_infos=None,
+            f_g=math.nan, batch_losses=losses, scalar_uplinks=0, vector_uplinks=len(workers),
+            vector_broadcasts=1, detections=0, step_infos=None,
         )
         observed = loss(setup.spec, w, score_batch) if score_batch is not None else math.inf
         yield outcome, w, [w] * len(workers), observed

@@ -329,9 +329,13 @@ def run_experiment(config_path: str, output_dir: str | None = None,
                 cfg.data, cfg.model_kind, cfg.hidden_dims, cfg.hyper, seed, cfg.init_mode
             )
         runs_dir.mkdir(parents=True, exist_ok=True)
-        # Tables of an earlier run would sit beside this run's files as if its own.
+        # Files of an earlier run would sit beside this run's as if its own.
         for stale in ("summary.csv", "diagnostics.csv", "communication.csv"):
             (out / stale).unlink(missing_ok=True)
+        for path in runs_dir.glob("*.csv"):
+            variant, _, seed = path.stem.rpartition("_")
+            if variant in VARIANTS and seed.isdigit():
+                path.unlink()
         for variant in cfg.variants:
             for seed in seeds:
                 current = (variant, seed)

@@ -1,6 +1,7 @@
 """Shared domain plumbing: hyperparameters, deterministic RNG streams, coefficients."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,9 @@ class HyperParameters:
     inertia_mode: str = "constant"
 
     def __post_init__(self):
+        for name in ("c0", "delta_c1", "delta_c2", "alpha", "verify_tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.c0 < 0 or self.delta_c1 < 0 or self.delta_c2 < 0:
             raise ValueError("c0, delta_c1, delta_c2 must be >= 0")
         if self.alpha < 0:

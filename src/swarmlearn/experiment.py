@@ -50,6 +50,8 @@ class DataConfig:
             raise ValueError("idx source needs idx_images and idx_labels paths")
         if self.global_train < 0 or self.global_score < 0:
             raise ValueError("shared set sizes must be >= 0")
+        if not math.isfinite(self.separation):
+            raise ValueError("separation must be finite")
 
 
 @dataclass(frozen=True)

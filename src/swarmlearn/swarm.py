@@ -3,9 +3,11 @@
 One round runs in three phases. Every worker takes a hybrid step (inertia +
 pull toward its own best + pull toward the global best - a gradient step),
 scores itself on its scoring set and reports that scalar. The server then
-selects the lowest claim, invites that worker to upload its best model,
-re-scores the upload to screen Byzantine forgeries, and broadcasts the new
-global best if it changed. Communication is metered per round.
+invites the claims that beat the global best, lowest first: the invited
+worker uploads its best model and the server re-scores it to screen Byzantine
+forgeries. A rejected upload blacklists its sender and the next claim is
+invited; the first accepted one is broadcast as the new global best.
+Communication is metered per round.
 """
 from __future__ import annotations
 
@@ -76,7 +78,6 @@ class StepInfo:
 @dataclass(frozen=True)
 class RoundOutcome:
     f_g: float
-    w_g_changed: bool
     batch_losses: np.ndarray
     scalar_uplinks: int
     vector_uplinks: int
@@ -156,20 +157,12 @@ def worker_step(
     )
     require_finite(w_new, f"worker {state.worker_id} parameters at round {t}")
 
+    vectors = dict(
+        w_pre=state.w, w_post=w_new, v_pre=state.v, v_post=v_new,
+        w_p_pre=state.w_p, w_g_used=w_g, grad=grad,
+    ) if collect_vectors else {}
     info = StepInfo(
-        worker_id=state.worker_id,
-        c0=c0,
-        c1=c1,
-        c2=c2_applied,
-        batch_loss=batch_loss,
-        grad_sq=float(grad @ grad),
-        w_pre=state.w if collect_vectors else None,
-        w_post=w_new if collect_vectors else None,
-        v_pre=state.v if collect_vectors else None,
-        v_post=v_new if collect_vectors else None,
-        w_p_pre=state.w_p if collect_vectors else None,
-        w_g_used=w_g if collect_vectors else None,
-        grad=grad if collect_vectors else None,
+        state.worker_id, c0, c1, c2_applied, batch_loss, float(grad @ grad), **vectors
     )
     return replace(state, w=w_new, v=v_new), info
 
@@ -184,15 +177,11 @@ def score_and_update_best(
     return state, ScalarReport(state.worker_id, state.f_p)
 
 
-def select_global_best(
-    reports: list[ScalarReport], f_g: float, blacklist: set[int]
-) -> int | None:
-    """Lowest claim wins (ties to lowest id); None when nothing beats f_g."""
-    eligible = [r for r in reports if r.worker_id not in blacklist]
-    if not eligible:
-        return None
-    best = min(eligible, key=lambda r: (r.claimed, r.worker_id))
-    return best.worker_id if best.claimed < f_g else None
+def invitation_order(reports: list[ScalarReport], f_g: float) -> list[int]:
+    """Positions in ``reports`` of the claims that beat f_g, lowest claim first
+    (ties to the lowest worker id): the order the server invites uploads in."""
+    beating = [i for i, r in enumerate(reports) if r.claimed < f_g]
+    return sorted(beating, key=lambda i: (reports[i].claimed, reports[i].worker_id))
 
 
 def verify_upload(
@@ -220,78 +209,56 @@ def run_round(
     collect_vectors: bool = False,
 ) -> tuple[list[WorkerState], PsState, RoundOutcome]:
     """One full protocol round. Worker phase order does not affect the result."""
-    h = wiring.hyper
-    w_g_broadcast = ps.w_g
+    h, spec, attack = wiring.hyper, wiring.spec, wiring.attack
 
-    stepped: dict[int, WorkerState] = {}
-    infos: dict[int, StepInfo] = {}
-    reports: dict[int, ScalarReport] = {}
-    for state in workers:
+    # Worker phase. Blacklisted workers still train but no longer report.
+    new_workers, infos, reports, claimants = [], [], [], []
+    for state in sorted(workers, key=lambda s: s.worker_id):
         try:
-            moved, info = worker_step(state, w_g_broadcast, h, wiring.spec, t, collect_vectors)
-            scored, report = score_and_update_best(moved, wiring.spec)
+            moved, info = worker_step(state, ps.w_g, h, spec, t, collect_vectors)
+            scored, report = score_and_update_best(moved, spec)
         except Exception as exc:
             exc.args = (f"round {t}, worker {state.worker_id}: {exc}",)
             raise
-        stepped[state.worker_id] = scored
-        infos[state.worker_id] = info
-        reports[state.worker_id] = report
-
-    ids = sorted(stepped)
-    new_workers = [stepped[i] for i in ids]
-    batch_losses = np.array([infos[i].batch_loss for i in ids])
-
-    # Collection phase: blacklisted workers no longer participate.
-    collected = []
-    for i in ids:
-        if i in ps.blacklist:
+        new_workers.append(scored)
+        infos.append(info)
+        if state.worker_id in ps.blacklist:
             continue
-        report = reports[i]
-        if stepped[i].is_byzantine and wiring.attack.active:
-            report = attacks.forge_report(report, ps.f_g, wiring.attack.strategy)
-        collected.append(report)
+        if scored.is_byzantine and attack.active:
+            report = attacks.forge_report(report, ps.f_g, attack.strategy)
+        reports.append(report)
+        claimants.append(scored)
 
+    # Server phase: invite the claims that beat f_g, lowest first. A rejected
+    # upload blacklists its sender; the first accepted one ends the walk.
     blacklist = set(ps.blacklist)
     f_g, w_g = ps.f_g, ps.w_g
-    detections = 0
     vector_uplinks = 0
-    changed = False
-    candidates = list(collected)
-    while True:
-        winner = select_global_best(candidates, f_g, blacklist)
-        if winner is None:
-            break
-        claim = next(r.claimed for r in candidates if r.worker_id == winner)
-        upload = _upload_for(stepped[winner], wiring, t)
+    for i in invitation_order(reports, ps.f_g):
+        report = reports[i]
+        upload = _upload_for(claimants[i], wiring, t)
         vector_uplinks += 1
-        if wiring.can_verify:
-            if verify_upload(upload, claim, wiring.shared_score, wiring.spec, h.verify_tolerance):
-                f_g = loss(wiring.spec, upload, wiring.shared_score)
-                w_g = upload
-                changed = True
-                break
-            detections += 1
-            blacklist.add(winner)
-            candidates = [r for r in candidates if r.worker_id != winner]
-        else:
+        if not wiring.can_verify:
             # No scoring data at the server (or verification ablated): trust the claim.
-            f_g = claim
-            w_g = upload
-            changed = True
-            break
+            f_g = report.claimed
+        elif verify_upload(upload, report.claimed, wiring.shared_score, spec, h.verify_tolerance):
+            f_g = loss(spec, upload, wiring.shared_score)
+        else:
+            blacklist.add(report.worker_id)
+            continue
+        w_g = upload
+        break
 
-    new_ps = PsState(w_g, f_g, blacklist)
     outcome = RoundOutcome(
         f_g=f_g,
-        w_g_changed=changed,
-        batch_losses=batch_losses,
-        scalar_uplinks=len(collected),
+        batch_losses=np.array([info.batch_loss for info in infos]),
+        scalar_uplinks=len(reports),
         vector_uplinks=vector_uplinks,
-        vector_broadcasts=1 if changed else 0,
-        detections=detections,
-        step_infos=tuple(infos[i] for i in ids) if collect_vectors else None,
+        vector_broadcasts=1 if w_g is not ps.w_g else 0,  # every upload is a fresh array
+        detections=len(blacklist) - len(ps.blacklist),
+        step_infos=tuple(infos) if collect_vectors else None,
     )
-    return new_workers, new_ps, outcome
+    return new_workers, PsState(w_g, f_g, blacklist), outcome
 
 
 def initial_ps() -> PsState:

@@ -17,6 +17,7 @@ from swarmlearn.baselines import (
     pso_round,
     run_variant,
 )
+from swarmlearn.cli import COSINE_COLUMNS, DIVERGENCE_COLUMNS
 from swarmlearn.swarm import ProtocolWiring, initial_ps, run_round
 
 SMALL = DataConfig(
@@ -257,7 +258,8 @@ class TestRunVariant:
             "cbdsl_full", setup, h, diag=DiagnosticsFlags(divergence=True)
         )
         for r in result.records:
-            assert "divergence_mean" in r.diag
+            # the exact CSV schema: a misnamed key would become a column of nan
+            assert set(r.diag) == set(DIVERGENCE_COLUMNS)
             assert r.diag["divergence_mean"] >= 0
 
     def test_cosine_diagnostics_columns(self):
@@ -268,7 +270,7 @@ class TestRunVariant:
         assert result.cosine_stats is not None
         assert result.cosine_stats.samples > 0
         for r in result.records:
-            assert "recursion_residual" in r.diag
+            assert set(r.diag) == set(COSINE_COLUMNS)
 
     def test_mlp_variant_end_to_end(self):
         h = HyperParameters(rounds=4, num_workers=3, batch_size=5)

@@ -271,6 +271,19 @@ class TestStaleTables:
         assert run_experiment(str(write_config(tmp_path, plain))) == 0
         assert not (out / "diagnostics.csv").exists()
 
+    def test_rerun_with_fewer_pairs_drops_their_run_csvs(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_experiment(str(write_config(tmp_path))) == 0
+        (out / "runs" / "notes.txt").write_text("kept")
+        (out / "runs" / "fedavg_best.csv").write_text("kept")
+        fewer = BASE_CONFIG.format(out=out).replace(
+            "variants = fedavg, cbdsl_full", "variants = cbdsl_full"
+        )
+        assert run_experiment(str(write_config(tmp_path, fewer))) == 0
+        assert sorted(p.name for p in (out / "runs").iterdir()) == [
+            "cbdsl_full_1.csv", "cbdsl_full_2.csv", "fedavg_best.csv", "notes.txt",
+        ]
+
 
 class TestMain:
     def test_run_and_report_roundtrip(self, tmp_path):

@@ -58,6 +58,16 @@ def test_variant_table_matches_the_paper():
         ("batch_size = 5", "batch_size = 5\n[attack]\nattackers = 7"),
         # used to run every pair, then die in the Lipschitz estimator (exit 1)
         ("batch_size = 5", "batch_size = 5\n[diagnostics]\ncosine_stats = on\nlipschitz_probes = 1"),
+        # used to run and write output that looks valid: every honest upload
+        # screened, accuracy nan
+        ("batch_size = 5", "batch_size = 5\nverify_tolerance = nan"),
+        # used to fail at run time (exit 3) after creating the output directory
+        ("batch_size = 5", "batch_size = 5\nalpha = nan"),
+        ("batch_size = 5", "batch_size = 5\nc0 = inf"),
+        ("batch_size = 5", "batch_size = 5\ndelta_c1 = nan"),
+        ("batch_size = 5", "batch_size = 5\ndelta_c2 = inf"),
+        ("separation = 6.0", "separation = nan"),
+        ("batch_size = 5", "batch_size = 5\n[attack]\nscale = inf"),
     ],
 )
 def test_rejected_before_anything_runs(tmp_path, old, new):

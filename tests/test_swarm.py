@@ -15,9 +15,9 @@ from swarmlearn.swarm import (
     WorkerState,
     hybrid_update,
     initial_ps,
+    invitation_order,
     run_round,
     score_and_update_best,
-    select_global_best,
     verify_upload,
     worker_step,
 )
@@ -172,21 +172,17 @@ class TestScoreAndBest:
             assert all(b <= a for a, b in zip(series, series[1:]))
 
 
-class TestSelection:
-    def test_argmin_with_id_tiebreak(self):
-        reports = [ScalarReport(1, 0.9), ScalarReport(2, 0.4), ScalarReport(3, 0.4)]
-        assert select_global_best(reports, 0.7, set()) == 2
+class TestInvitationOrder:
+    def test_lowest_claim_first_with_id_tiebreak(self):
+        reports = [ScalarReport(1, 0.4), ScalarReport(3, 0.2), ScalarReport(2, 0.2)]
+        assert [reports[i].worker_id for i in invitation_order(reports, 0.7)] == [2, 3, 1]
 
-    def test_keep_when_nothing_beats_global(self):
-        reports = [ScalarReport(1, 0.9), ScalarReport(2, 0.8)]
-        assert select_global_best(reports, 0.5, set()) is None
-
-    def test_blacklisted_claimant_skipped(self):
-        reports = [ScalarReport(1, 0.2), ScalarReport(2, 0.4)]
-        assert select_global_best(reports, 0.7, {1}) == 2
+    def test_only_claims_that_beat_the_global_best(self):
+        reports = [ScalarReport(1, 0.9), ScalarReport(2, 0.5), ScalarReport(3, 0.4)]
+        assert invitation_order(reports, 0.5) == [2]
 
     def test_empty_report_set(self):
-        assert select_global_best([], 0.5, set()) is None
+        assert invitation_order([], 0.5) == []
 
 
 class TestVerification:
