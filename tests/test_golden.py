@@ -1,4 +1,4 @@
-"""Golden outputs: the SHA-256 of every CSV from three short pinned runs.
+"""Golden outputs: the SHA-256 of every CSV from five short pinned runs.
 
 A rerun-equals-rerun check cannot see a refactor that drifts both runs the
 same way; these digests can. They hold for one numpy/BLAS build, so a
@@ -35,6 +35,26 @@ def fedavg_diag_parser() -> configparser.ConfigParser:
     """Both FedAvg variants beside a swarm one, with cosine and divergence columns on."""
     parser = desk_parser(variants="fedavg, fedavg_gtr, cbdsl_full")
     parser["diagnostics"].update(cosine_stats="on", divergence="on", lipschitz_probes="16")
+    return parser
+
+
+def mlp_iid_parser() -> configparser.ConfigParser:
+    """All five variants on an MLP over iid pools, per-worker init, linear inertia.
+
+    Pins the hidden layers, the iid partition with the shared training set
+    appended to each pool, per-worker initial models and the linear schedule.
+    """
+    parser = desk_parser()
+    parser["data"]["partition"] = "iid"
+    parser["model"].update(kind="mlp", hidden_dims="16", init="per_worker")
+    parser["hyper"].update(inertia="linear", alpha="0.05")
+    return parser
+
+
+def unverified_scaled_parser() -> configparser.ConfigParser:
+    """Scaled forgeries with verification off: the server trusts every claim."""
+    parser = desk_parser(variants="cbdsl_plain, cbdsl_gsc, cbdsl_full")
+    parser["attack"].update(strategy="fake_loss_scaled", attackers="1, 4", verification="off")
     return parser
 
 
@@ -90,6 +110,30 @@ FEDAVG_DIAG_DIGESTS = {
     "summary.csv": "241e090ace3525952d069954785b02d51910c262e0491cc8706a7bd0130ac786",
 }
 
+MLP_IID_DIGESTS = {
+    "runs/cbdsl_full_1.csv": "fef8a7c982e3d7600ccef9270a90a9a409c680408ca46901325d3fb4af0b345f",
+    "runs/cbdsl_full_2.csv": "fafa6132d39d3d738f83496dcf34241735be6bcc7e4e81bd8c0271127cb0f84e",
+    "runs/cbdsl_gsc_1.csv": "141458a3df3a46603047818c30a5f1649fc20264464d9ab9a8e4d7b2be57f826",
+    "runs/cbdsl_gsc_2.csv": "f105015fe1d8be30699b2990b13b746a412b58510f8534dbf2d494cfe40fe2a8",
+    "runs/cbdsl_plain_1.csv": "d70f60d9e21678eeac21e0989c5ff6bdc3bd4856fae62347befd4dfad592d0a1",
+    "runs/cbdsl_plain_2.csv": "e0f6b7faf6f6aab0922322dc7b2660cefad1d049303b03ae330b6f2d598f8ec9",
+    "runs/fedavg_1.csv": "2ac4f6f25586d1f4ef748ea8cc6e10eb3963cd23a11f4119f98a73af08a9395e",
+    "runs/fedavg_2.csv": "126e87fc64e8fc8c1067475ad4003dd8a50694d25e4541a3c9744ff51a951fd3",
+    "runs/fedavg_gtr_1.csv": "1ef734d469b2f905864476fb56c36b0f4474131e49b3980a5977c8e2d3eebbf2",
+    "runs/fedavg_gtr_2.csv": "0a21c59ff84b4dc513032e61e8774672ee49292cca69a777301f37ee70a0c934",
+    "summary.csv": "49b15d125871137de4ab2398774aaa9d36b0e171d1d57f3fc6c25f1b8363d043",
+}
+
+UNVERIFIED_SCALED_DIGESTS = {
+    "runs/cbdsl_full_1.csv": "7474a0a4c8f03728a41ddb6393f5ee611bfd1b88654ba8bf94c77746a2f594a3",
+    "runs/cbdsl_full_2.csv": "99f3627f8cd87277d180b2ceb3e0187183ea540f5cb66587e006e3d4125d4120",
+    "runs/cbdsl_gsc_1.csv": "fe11c82c1d05fd09072ca050bbaca6984321b6b958a53dbdfb147f9e2c3267a5",
+    "runs/cbdsl_gsc_2.csv": "9021efbe006469ef99beb8ae01adc3b12f4ecd5972cb4f7f738fc1a7235553eb",
+    "runs/cbdsl_plain_1.csv": "6b84057354f70bb7a0a1955ec917542c1df21e957b32a7a18e5159fc5ea94606",
+    "runs/cbdsl_plain_2.csv": "aca59e9bd2c61f4b8ff1fbcd5d5dd5fa3673a20e8be3335715e6daa23b983ddd",
+    "summary.csv": "2618c1c65a4f4c39de0cf4fc197eaedb4a2c008bbe0088f29c7102188b2a9d35",
+}
+
 
 def test_desk_digests(tmp_path):
     assert_digests(csv_digests(desk_parser(), tmp_path), DESK_DIGESTS)
@@ -101,3 +145,11 @@ def test_audit_digests(tmp_path):
 
 def test_fedavg_diagnostics_digests(tmp_path):
     assert_digests(csv_digests(fedavg_diag_parser(), tmp_path), FEDAVG_DIAG_DIGESTS)
+
+
+def test_mlp_iid_digests(tmp_path):
+    assert_digests(csv_digests(mlp_iid_parser(), tmp_path), MLP_IID_DIGESTS)
+
+
+def test_unverified_scaled_digests(tmp_path):
+    assert_digests(csv_digests(unverified_scaled_parser(), tmp_path), UNVERIFIED_SCALED_DIGESTS)
