@@ -43,6 +43,24 @@ class Dataset:
 
 
 @dataclass(frozen=True)
+class Rows:
+    """Rows `index` of `base`, gathered on read: rows[idx] is base[index[idx]].
+
+    A worker's training pool is a Rows view of the seed's training set, so no
+    worker holds a copy of its partition or of the shared training rows.
+    """
+
+    base: np.ndarray
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return self.base[self.index[idx]]
+
+
+@dataclass(frozen=True)
 class PartitionPlan:
     """Disjoint per-worker index lists into a parent dataset."""
 

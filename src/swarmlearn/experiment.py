@@ -48,6 +48,9 @@ class DataConfig:
             raise ValueError(f"partition must be one of {PARTITION_MODES}")
         if self.source == "idx" and (self.idx_images is None or self.idx_labels is None):
             raise ValueError("idx source needs idx_images and idx_labels paths")
+        for key in ("per_worker", "num_shards", "shards_per_worker"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
         if self.global_train < 0 or self.global_score < 0:
             raise ValueError("shared set sizes must be >= 0")
         if not math.isfinite(self.separation):
@@ -191,14 +194,15 @@ def initial_w_for(setup: ExperimentSetup, worker_id: int) -> np.ndarray:
 
 
 def worker_pool(setup: ExperimentSetup, worker_id: int, with_global_train: bool):
-    """A worker's training arrays: its partition, optionally + the shared train set."""
-    idx = setup.plan.worker_indices[worker_id]
-    features = setup.train.features[idx]
-    labels = setup.train.labels[idx]
+    """A worker's training pool: its partition, optionally + the shared train set.
+
+    Both are rows of ``setup.train`` (the shared sets are drawn from it), so
+    the pool is a pair of Rows views over one index array, not a copy.
+    """
+    rows = setup.plan.worker_indices[worker_id]
     if with_global_train and setup.shared is not None and len(setup.shared.train):
-        features = np.concatenate([features, setup.shared.train.features])
-        labels = np.concatenate([labels, setup.shared.train.labels])
-    return features, labels
+        rows = np.concatenate([rows, setup.shared.train_indices])
+    return datamod.Rows(setup.train.features, rows), datamod.Rows(setup.train.labels, rows)
 
 
 def make_workers(
@@ -209,16 +213,15 @@ def make_workers(
 ) -> list[WorkerState]:
     if score_mode == "shared" and (setup.shared is None or not len(setup.shared.score)):
         raise ValueError("missing global scoring dataset (global_score)")
+    # one scoring Batch for every worker; None when score_mode is "none"
+    score_set = setup.shared.score.as_batch() if score_mode == "shared" else None
     workers = []
     for i in range(h.num_workers):
         features, labels = worker_pool(setup, i, with_global_train)
-        local_idx = setup.plan.worker_indices[i]
-        if score_mode == "shared":
-            score_set = setup.shared.score.as_batch()
-        elif score_mode == "local":
+        if score_mode == "local":
+            # scored every round, so it stays a contiguous copy
+            local_idx = setup.plan.worker_indices[i]
             score_set = Batch(setup.train.features[local_idx], setup.train.labels[local_idx])
-        else:
-            score_set = None
         w0 = initial_w_for(setup, i)
         f_p = loss(setup.spec, w0, score_set) if score_set is not None else math.inf
         workers.append(

@@ -25,7 +25,7 @@ from .core import (
     require_finite,
     sample_coefficients,
 )
-from .data import draw_batch_indices
+from .data import Rows, draw_batch_indices
 from .model import Batch, ModelSpec, loss, loss_and_gradient
 
 
@@ -36,8 +36,8 @@ class WorkerState:
     v: np.ndarray
     w_p: np.ndarray
     f_p: float
-    train_features: np.ndarray
-    train_labels: np.ndarray
+    train_features: np.ndarray | Rows
+    train_labels: np.ndarray | Rows
     score_set: Batch | None
     stream: RngStream
     is_byzantine: bool = False

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,39 @@ class TestRunVariant:
         # plain scores on its own data, full on the shared scoring set
         assert len(plain[0].score_set) == local_size
         assert len(full[0].score_set) == len(setup.shared.score)
+
+    @pytest.mark.parametrize("with_global_train", [False, True])
+    def test_pool_batches_equal_a_copied_pool(self, with_global_train):
+        setup, h = small_setup(seed=6)
+        workers = make_workers(setup, h, with_global_train, "shared")
+        for i, worker in enumerate(workers):
+            rows = setup.plan.worker_indices[i]
+            features = [setup.train.features[rows]]
+            labels = [setup.train.labels[rows]]
+            if with_global_train:
+                features.append(setup.shared.train.features)
+                labels.append(setup.shared.train.labels)
+            features, labels = np.concatenate(features), np.concatenate(labels)
+            assert len(worker.train_labels) == len(labels)
+            rng = worker_stream(setup.seed, i).round(0)
+            for idx in (draw_batch_indices(rng, len(labels), h.batch_size), np.arange(len(labels))):
+                assert worker.train_features[idx].tobytes() == features[idx].tobytes()
+                assert worker.train_labels[idx].tobytes() == labels[idx].tobytes()
+
+    def test_make_workers_copies_no_training_rows(self):
+        cfg = DataConfig(dim=200, partition="iid", per_worker=300, global_train=600, global_score=500)
+        h = HyperParameters(rounds=1, num_workers=10, batch_size=5)
+        setup = build_setup(cfg, "softmax_regression", (), h, 1)
+        one_pool_bytes = (cfg.per_worker + cfg.global_train) * cfg.dim * 8
+        tracemalloc.start()
+        try:
+            workers = make_workers(setup, h, True, "shared")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(workers[0].train_labels) == cfg.per_worker + cfg.global_train
+        # ten pool copies would be ten times this
+        assert peak < one_pool_bytes
 
     def test_pure_pso_is_rejected(self):
         setup, h = small_setup(seed=7)

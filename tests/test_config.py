@@ -68,6 +68,12 @@ def test_variant_table_matches_the_paper():
         ("batch_size = 5", "batch_size = 5\ndelta_c2 = inf"),
         ("separation = 6.0", "separation = nan"),
         ("batch_size = 5", "batch_size = 5\n[attack]\nscale = inf"),
+        # used to exit 3 ("batch must be nonempty") after creating the output
+        # directory, or 2 with a message that named a different fault
+        ("partition = shard", "partition = iid\nper_worker = 0"),
+        ("partition = shard", "partition = iid\nper_worker = -5"),
+        ("shards_per_worker = 2", "shards_per_worker = 0"),
+        ("num_shards = 20", "num_shards = 0"),
     ],
 )
 def test_rejected_before_anything_runs(tmp_path, old, new):
