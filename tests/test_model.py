@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmlearn.model import (
     Batch,
@@ -156,6 +158,88 @@ class TestGradient:
         value, g = loss_and_gradient(MLP, w, batch)
         assert value == loss(MLP, w, batch)
         assert np.array_equal(g, gradient(MLP, w, batch))
+
+
+def _oracle_softmax(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _oracle_loss_and_gradient(spec, w, batch):
+    """The plain formulas: row max by ``z.max(axis=1)``, a separate softmax
+    pass, and a gradient assembled by per-layer ``np.concatenate``."""
+    dims = [spec.input_dim, *spec.hidden_dims, spec.num_classes]
+    layers, offset = [], 0
+    for inp, out in zip(dims, dims[1:]):
+        weight = w[offset : offset + out * inp].reshape(out, inp)
+        offset += out * inp
+        layers.append((weight, w[offset : offset + out]))
+        offset += out
+    activations, pre = [batch.features], []
+    a = batch.features
+    for i, (weight, bias) in enumerate(layers):
+        z = a @ weight.T + bias
+        pre.append(z)
+        if i < len(layers) - 1:
+            a = np.maximum(z, 0.0)
+            activations.append(a)
+    n = len(batch)
+    m = z.max(axis=1)
+    lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+    value = float(np.mean(lse - z[np.arange(n), batch.labels]))
+    delta = _oracle_softmax(z)
+    delta[np.arange(n), batch.labels] -= 1.0
+    delta /= n
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        g_w = delta.T @ activations[i]
+        grads[i] = np.concatenate([g_w.ravel(), delta.sum(axis=0)])
+        if i > 0:
+            delta = (delta @ layers[i][0]) * (pre[i - 1] > 0)
+    return value, np.concatenate(grads)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A spec, parameters and a batch. Rows span both sides of numpy's
+    8-element pairwise-summation block; scale 0 gives exact logit ties and
+    the largest scales make exp underflow to 0 for all but the top class."""
+    classes = draw(st.integers(2, 12))
+    input_dim = draw(st.integers(1, 12))
+    hidden = draw(st.one_of(st.just(()), st.lists(st.integers(1, 20), min_size=1, max_size=2)))
+    kind = "mlp" if hidden else "softmax_regression"
+    spec = ModelSpec(kind, input_dim, classes, tuple(hidden))
+    rows = draw(st.integers(1, 600))
+    scale = draw(st.sampled_from([0.0, 1e-3, 0.05, 1.0, 10.0, 300.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.standard_normal(param_count(spec)) * scale
+    batch = Batch(rng.standard_normal((rows, input_dim)), rng.integers(0, classes, rows))
+    return spec, w, batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_kernels_bit_identical_to_plain_formulas(case):
+    spec, w, batch = case
+    w_before = w.tobytes()
+    features_before, labels_before = batch.features.tobytes(), batch.labels.tobytes()
+    want_value, want_grad = _oracle_loss_and_gradient(spec, w, batch)
+
+    value, grad = loss_and_gradient(spec, w, batch)
+    assert value == want_value
+    assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
+    assert grad.tobytes() == want_grad.tobytes()
+    assert loss(spec, w, batch) == want_value
+    assert gradient(spec, w, batch).tobytes() == want_grad.tobytes()
+
+    # a fresh gradient that aliases none of the inputs, which stay as they were
+    assert grad.flags.owndata
+    assert not np.shares_memory(grad, w) and not np.shares_memory(grad, batch.features)
+    assert grad is not loss_and_gradient(spec, w, batch)[1]
+    assert w.tobytes() == w_before
+    assert batch.features.tobytes() == features_before
+    assert batch.labels.tobytes() == labels_before
 
 
 class TestAccuracy:
