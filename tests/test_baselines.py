@@ -249,6 +249,21 @@ class TestRunVariant:
         # ten pool copies would be ten times this
         assert peak < one_pool_bytes
 
+    @pytest.mark.parametrize("init_mode, scored", [("shared", 1), ("per_worker", 4)])
+    def test_initial_scores(self, monkeypatch, init_mode, scored):
+        # a shared start on the shared scoring set is one score for every worker
+        import swarmlearn.experiment as experiment_mod
+
+        h = HyperParameters(rounds=1, num_workers=4, batch_size=5)
+        setup = build_setup(SMALL, "softmax_regression", (), h, 1, init_mode)
+        calls = []
+        monkeypatch.setattr(experiment_mod, "loss", lambda *args: calls.append(1) or loss(*args))
+        workers = make_workers(setup, h, True, "shared")
+        assert len(calls) == scored
+        score = setup.shared.score.as_batch()
+        for worker in workers:
+            assert worker.f_p == loss(setup.spec, initial_w_for(setup, worker.worker_id), score)
+
     def test_pure_pso_is_rejected(self):
         setup, h = small_setup(seed=7)
         with pytest.raises(ValueError, match="optimization mode"):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 from pathlib import Path
 
@@ -138,6 +139,29 @@ class TestRunExperiment:
         diag_rows = (out / "diagnostics.csv").read_text().splitlines()
         # fedavg contributes no alignment stats; one row per swarm run
         assert len(diag_rows) == 1 + 2
+
+    def test_seed_diagnostics_are_computed_once_per_seed(self, tmp_path, monkeypatch):
+        import swarmlearn.analysis as analysis_mod
+
+        # lipschitz and f0 depend only on the seed, so both swarm variants share them
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "variants = fedavg, cbdsl_full", "variants = cbdsl_gsc, cbdsl_full"
+        ) + "\n[diagnostics]\ncosine_stats = on\nlipschitz_probes = 4\n"
+        estimate = analysis_mod.estimate_model_lipschitz
+        calls = []
+        monkeypatch.setattr(
+            analysis_mod, "estimate_model_lipschitz",
+            lambda *args: calls.append(1) or estimate(*args),
+        )
+        assert run_experiment(str(write_config(tmp_path, text))) == 0
+        assert len(calls) == 2
+        with open(tmp_path / "out" / "diagnostics.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["variant"], r["seed"]) for r in rows] == [
+            ("cbdsl_gsc", "1"), ("cbdsl_gsc", "2"), ("cbdsl_full", "1"), ("cbdsl_full", "2"),
+        ]
+        for a, b in ((rows[0], rows[2]), (rows[1], rows[3])):
+            assert (a["lipschitz"], a["f0"]) == (b["lipschitz"], b["f0"])
 
     def test_summary_totals_match_run_files(self, tmp_path):
         import csv

@@ -74,6 +74,11 @@ def test_variant_table_matches_the_paper():
         ("partition = shard", "partition = iid\nper_worker = -5"),
         ("shards_per_worker = 2", "shards_per_worker = 0"),
         ("num_shards = 20", "num_shards = 0"),
+        # used to run a pair twice and write two identical summary rows
+        ("variants = fedavg, cbdsl_full", "variants = fedavg, cbdsl_full, fedavg"),
+        ("seeds = 1, 2", "seeds = 1, 1"),
+        # used to exit 2 with numpy's "expected non-negative integer", naming no key
+        ("seeds = 1, 2", "seeds = 2, -1"),
     ],
 )
 def test_rejected_before_anything_runs(tmp_path, old, new):
@@ -82,6 +87,27 @@ def test_rejected_before_anything_runs(tmp_path, old, new):
     with pytest.raises(cli_mod.ConfigError):
         load_config(str(path))
     assert run_experiment(str(path)) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("variants = fedavg, cbdsl_full", "variants = cbdsl_full, fedavg, cbdsl_full",
+         "[experiment] variants lists cbdsl_full more than once"),
+        ("seeds = 1, 2", "seeds = 3, 1, 3, 1", "[experiment] seeds lists 1, 3 more than once"),
+        ("seeds = 1, 2", "seeds = 1, -4", "[experiment] seeds must be >= 0, got -4"),
+    ],
+)
+def test_repeated_and_negative_entries_name_their_key(tmp_path, capsys, old, new, message):
+    text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
+    assert run_experiment(str(write_config(tmp_path, text))) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    assert run_experiment(str(write_config(tmp_path)), seed_override=-1) == 2
+    assert capsys.readouterr().err == "config error: --seed-override must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
 
 
