@@ -215,12 +215,6 @@ def make_workers(
         raise ValueError("missing global scoring dataset (global_score)")
     # one scoring Batch for every worker; None when score_mode is "none"
     score_set = setup.shared.score.as_batch() if score_mode == "shared" else None
-    # With a shared start and the shared scoring set every worker's initial
-    # score is the same number, so it is computed once.
-    common_f_p = (
-        loss(setup.spec, setup.init_w, score_set)
-        if score_mode == "shared" and setup.init_mode == "shared" else None
-    )
     workers = []
     for i in range(h.num_workers):
         features, labels = worker_pool(setup, i, with_global_train)
@@ -229,10 +223,12 @@ def make_workers(
             local_idx = setup.plan.worker_indices[i]
             score_set = Batch(setup.train.features[local_idx], setup.train.labels[local_idx])
         w0 = initial_w_for(setup, i)
-        if common_f_p is not None:
-            f_p = common_f_p
+        if score_set is None:
+            f_p = math.inf
+        elif workers and score_mode == "shared" and setup.init_mode == "shared":
+            f_p = workers[0].f_p  # same start, same scoring set: the same score
         else:
-            f_p = loss(setup.spec, w0, score_set) if score_set is not None else math.inf
+            f_p = loss(setup.spec, w0, score_set)
         workers.append(
             WorkerState(
                 worker_id=i,

@@ -109,8 +109,8 @@ def _row_max(z: np.ndarray) -> np.ndarray:
 
     numpy reduces the short class axis of a C-ordered array row by row; on a
     transposed copy the same maxima come from one pass over contiguous rows,
-    about 5x faster at 500 rows. A max rounds nothing, so the value does not
-    depend on the order (NaN still propagates).
+    3-5x faster at 500 rows of 10 classes. A max rounds nothing, so the
+    value does not depend on the order (NaN still propagates).
     """
     return z.T.copy().max(axis=0)
 
