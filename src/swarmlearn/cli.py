@@ -381,7 +381,9 @@ def run_experiment(config_path: str, output_dir: str | None = None,
         observed = [r.min_observed_loss for r in results if math.isfinite(r.min_observed_loss)]
         f_star = min(observed) if observed else math.nan
         diagnosed = [r for r in results if r.cosine_stats is not None]
-        per_seed = {seed: _seed_diagnostics(cfg, setups[seed]) for seed in {r.seed for r in diagnosed}}
+        per_seed = {
+            seed: _seed_diagnostics(cfg, setups[seed]) for seed in {r.seed for r in diagnosed}
+        }
         rows = [_diagnostics_row(cfg, r, *per_seed[r.seed], f_star) for r in diagnosed]
         _write_table(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS, rows)
 

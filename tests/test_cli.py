@@ -1,4 +1,3 @@
-import csv
 import hashlib
 from pathlib import Path
 
@@ -141,6 +140,8 @@ class TestRunExperiment:
         assert len(diag_rows) == 1 + 2
 
     def test_seed_diagnostics_are_computed_once_per_seed(self, tmp_path, monkeypatch):
+        import csv
+
         import swarmlearn.analysis as analysis_mod
 
         # lipschitz and f0 depend only on the seed, so both swarm variants share them
