@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmlearn.core import (
     HyperParameters,
@@ -10,6 +12,7 @@ from swarmlearn.core import (
     sample_coefficients,
     worker_stream,
 )
+from swarmlearn.data import draw_batch_indices
 
 
 class TestSampleCoefficients:
@@ -122,3 +125,91 @@ def test_require_finite():
     require_finite(np.array([1.0, -2.0]), "ok")
     with pytest.raises(NonFiniteError, match="worker 3"):
         require_finite(np.array([1.0, np.nan]), "worker 3 parameters at round 7")
+
+
+# --- numpy's per-stream algorithm, rebuilt from raw PCG64 output ----------------
+
+M32 = 0xFFFFFFFF
+
+
+def oracle_stream(seed, worker_id, t, pool, batch, deltas):
+    """A worker-round's draws rebuilt from its stream's raw 64-bit outputs.
+
+    The uniforms are (u64 >> 11) * 2**-53 scaled by delta; choice(pool, b,
+    replace=False) is Floyd's sampling then a Fisher-Yates shuffle, both on
+    bounded integers by Lemire's method over buffered 32-bit halves, low half
+    first. ``deltas`` None draws no coefficients.
+    """
+    bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0, worker_id, t)))
+    halves = []
+
+    def next64():
+        return int(bits.random_raw())
+
+    def next32():
+        if not halves:
+            x = next64()
+            halves.extend([x & M32, x >> 32])
+        return halves.pop(0)
+
+    def bounded(r):
+        if r == 0:
+            return 0
+        m = next32() * (r + 1)
+        while (m & M32) < (M32 - r) % (r + 1):
+            m = next32() * (r + 1)
+        return m >> 32
+
+    coefficients = [0.0 + d * ((next64() >> 11) * 2.0**-53) for d in deltas or ()]
+    b = min(batch, pool)
+    picked = []
+    for j in range(pool - b, pool):
+        v = bounded(j)
+        picked.append(j if v in picked else v)
+    for i in range(b - 1, 0, -1):
+        k = bounded(i)
+        picked[k], picked[i] = picked[i], picked[k]
+    return coefficients, np.array(picked, dtype=np.int64)
+
+
+def numpy_stream(seed, worker_id, t, pool, batch, deltas):
+    rng = worker_stream(seed, worker_id).round(t)
+    coefficients = []
+    if deltas is not None:
+        h = HyperParameters(delta_c1=deltas[0], delta_c2=deltas[1])
+        coefficients = list(sample_coefficients(h, rng))
+    return coefficients, draw_batch_indices(rng, pool, batch)
+
+
+DELTAS = st.sampled_from([0.0, 0.7, 1.0, 2.5])
+streams = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "worker_id": st.integers(0, 60),
+    "t": st.integers(0, 500),
+    "pool": st.one_of(st.integers(1, 40), st.integers(1, 10_000)),
+    "batch": st.integers(1, 63),
+    "deltas": st.one_of(st.none(), st.tuples(DELTAS, DELTAS)),
+})
+
+
+class TestNumpyStreamAlgorithm:
+    """Pins the per-stream algorithm the vectorized draw table reproduces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(streams)
+    def test_oracle_rebuilds_numpy_bit_for_bit(self, case):
+        coefficients, batch = oracle_stream(**case)
+        np_coefficients, np_batch = numpy_stream(**case)
+        assert coefficients == np_coefficients
+        assert np_batch.dtype == batch.dtype and np_batch.tobytes() == batch.tobytes()
+
+    @pytest.mark.parametrize("pool, batch, floyd", [(10_001, 10, True), (10_001, 201, False)])
+    def test_numpy_leaves_floyd_sampling_past_ten_thousand(self, pool, batch, floyd):
+        # Generator.choice switches to a tail shuffle when pool > 10000 and
+        # batch > pool // 50; the draw table hands those pools to numpy.
+        same = [
+            np.array_equal(oracle_stream(s, 0, 0, pool, batch, None)[1],
+                           numpy_stream(s, 0, 0, pool, batch, None)[1])
+            for s in range(3)
+        ]
+        assert same == [floyd] * 3
