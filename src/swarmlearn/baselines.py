@@ -2,9 +2,7 @@
 
 FedAvg here is synchronized gradient averaging: every worker computes one
 mini-batch gradient at the common model per round, the server applies the
-mean. Pure particle-swarm optimization exists in optimization mode only
-(shared deterministic objective), mirroring its origin as an optimizer rather
-than a learner.
+mean.
 """
 from __future__ import annotations
 
@@ -15,16 +13,8 @@ import numpy as np
 
 from . import analysis
 from .attacks import AttackSpec
-from .core import (
-    DOMAIN_INIT,
-    HyperParameters,
-    RngStream,
-    derived_rng,
-    inertia_schedule,
-    require_finite,
-    sample_coefficients,
-    worker_stream,
-)
+from .core import HyperParameters, require_finite
+from .core import derived_rng  # noqa: F401  bound only for perfbench's span hook
 from .data import draw_batch_indices
 from .experiment import (
     ExperimentSetup,
@@ -34,7 +24,7 @@ from .experiment import (
     population_batch,
 )
 from .model import Batch, accuracy, loss, loss_and_gradient
-from .swarm import ProtocolWiring, RoundOutcome, hybrid_update, initial_ps, run_round
+from .swarm import ProtocolWiring, RoundOutcome, initial_ps, run_round
 
 
 @dataclass(frozen=True)
@@ -78,11 +68,6 @@ def check_variants(
         raise ValueError(f"attacker ids out of range: {bad_ids}")
     rows = []
     for name in names:
-        if name == "pure_pso":
-            raise ValueError(
-                "variant pure_pso runs in optimization mode only and has no dataset wiring; "
-                "use swarmlearn.baselines.pso_minimize"
-            )
         if name not in VARIANTS:
             raise ValueError(f"unknown variant {name!r}")
         row = VARIANTS[name]
@@ -129,60 +114,6 @@ def fedavg_round(workers, w: np.ndarray, h: HyperParameters, spec, t: int):
     w_new = w - h.alpha * grads.mean(axis=0)
     require_finite(w_new, f"fedavg consensus at round {t}")
     return w_new, losses
-
-
-@dataclass
-class Particle:
-    particle_id: int
-    w: np.ndarray
-    v: np.ndarray
-    w_p: np.ndarray
-    f_p: float
-    stream: RngStream
-
-
-def make_particles(objective, dim: int, count: int, seed: int, init_low=-1.0, init_high=1.0):
-    particles = []
-    for i in range(count):
-        w0 = derived_rng(seed, DOMAIN_INIT, i).uniform(init_low, init_high, size=dim)
-        particles.append(
-            Particle(i, w0, np.zeros(dim), w0.copy(), float(objective(w0)), worker_stream(seed, i))
-        )
-    return particles
-
-
-def pso_round(particles, objective, h: HyperParameters, t: int, f_g: float, w_g):
-    """Classic swarm update on a shared objective; returns the moved swarm and
-    the (possibly improved) global best."""
-    moved = []
-    zero_grad = None
-    for p in particles:
-        rng = p.stream.round(t)
-        c1, c2 = sample_coefficients(h, rng)
-        c0 = inertia_schedule(h, t)
-        if zero_grad is None:
-            zero_grad = np.zeros_like(p.w)
-        w_new, v_new = hybrid_update(p.w, p.v, p.w_p, w_g, c0, c1, c2, 0.0, zero_grad)
-        f_new = float(objective(w_new))
-        if f_new < p.f_p:
-            p = replace(p, w_p=w_new.copy(), f_p=f_new)
-        moved.append(replace(p, w=w_new, v=v_new))
-    best = min(moved, key=lambda p: (p.f_p, p.particle_id))
-    if best.f_p < f_g:
-        return moved, best.f_p, best.w_p.copy()
-    return moved, f_g, w_g
-
-
-def pso_minimize(objective, dim: int, h: HyperParameters, seed: int,
-                 init_low=-1.0, init_high=1.0):
-    """Run the swarm for h.rounds iterations; returns (best w, best f, history)."""
-    particles = make_particles(objective, dim, h.num_workers, seed, init_low, init_high)
-    f_g, w_g = math.inf, None
-    history = []
-    for t in range(h.rounds):
-        particles, f_g, w_g = pso_round(particles, objective, h, t, f_g, w_g)
-        history.append(f_g)
-    return w_g, f_g, history
 
 
 def run_variant(

@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 
 from swarmlearn.attacks import AttackSpec
-from swarmlearn.core import HyperParameters, worker_stream
+from swarmlearn.core import (
+    DOMAIN_INIT,
+    HyperParameters,
+    derived_rng,
+    inertia_schedule,
+    sample_coefficients,
+    worker_stream,
+)
 from swarmlearn.data import draw_batch_indices
 from swarmlearn.experiment import DataConfig, build_setup, initial_w_for, make_workers
 from swarmlearn.model import Batch, ModelSpec, loss, loss_and_gradient, param_count
 from swarmlearn.baselines import (
     DiagnosticsFlags,
-    Particle,
     fedavg_round,
-    make_particles,
-    pso_minimize,
-    pso_round,
     run_variant,
 )
 from swarmlearn.cli import COSINE_COLUMNS, DIVERGENCE_COLUMNS
@@ -106,47 +109,36 @@ def make_fedavg_worker(features, labels, seed):
     )
 
 
+def canonical_pso(objective, positions, h, seed):
+    """Canonical particle-swarm optimization on a shared objective, as the
+    oracle of the protocol with its gradient term off. Each particle draws its
+    round's weights from its worker stream; the velocity is kept as the
+    realized displacement, as the protocol keeps it. Yields, after each round,
+    the positions, the personal-best scores and the global best (f_g, w_g)."""
+    x = [w.copy() for w in positions]
+    v = [np.zeros_like(w) for w in x]
+    p = [w.copy() for w in x]
+    f_p = [objective(w) for w in x]
+    f_g, g = math.inf, None
+    for t in range(h.rounds):
+        c0 = inertia_schedule(h, t)
+        for i in range(len(x)):
+            c1, c2 = sample_coefficients(h, worker_stream(seed, i).round(t))
+            step = c0 * v[i] + c1 * (p[i] - x[i])
+            if g is not None:
+                step = step + c2 * (g - x[i])
+            moved = x[i] + step
+            x[i], v[i] = moved, moved - x[i]
+            score = objective(moved)
+            if score < f_p[i]:
+                f_p[i], p[i] = score, moved.copy()
+        best = min(range(len(x)), key=lambda i: (f_p[i], i))
+        if f_p[best] < f_g:
+            f_g, g = f_p[best], p[best].copy()
+        yield x, f_p, f_g, g
+
+
 class TestPso:
-    def objective(self, w):
-        return float(w @ w)
-
-    def test_particle_at_optimum_stays_fixed(self):
-        h = HyperParameters(rounds=5, num_workers=1)
-        p = Particle(0, np.zeros(3), np.zeros(3), np.zeros(3), 0.0, worker_stream(0, 0))
-        particles, f_g, w_g = pso_round([p], self.objective, h, 0, 0.0, np.zeros(3))
-        assert np.array_equal(particles[0].w, np.zeros(3))
-        assert f_g == 0.0
-
-    def test_pure_social_pull(self):
-        # with c0 = 0, c1 = 0 and c2 realized as exactly 1, the particle lands
-        # on the global best
-        from swarmlearn.swarm import hybrid_update
-
-        w = np.array([2.0, -1.0])
-        w_g = np.array([0.5, 0.25])
-        w_new, _ = hybrid_update(w, np.ones(2), w.copy(), w_g, 0.0, 0.0, 1.0, 0.0, np.zeros(2))
-        assert np.allclose(w_new, w_g, atol=1e-15)
-
-    def test_sphere_convergence_across_seeds(self):
-        # threshold frozen from observed runs of this implementation: scalar
-        # per-round coefficients (a deliberate design constraint) converge to
-        # ~1e-2 on the 10-D sphere; worst of 10 seeds observed at 2.1e-2
-        h = HyperParameters(
-            c0=1.0, delta_c1=1.0, delta_c2=1.0, alpha=0.005,
-            rounds=200, num_workers=20, inertia_mode="linear",
-        )
-        wins = 0
-        for seed in range(10):
-            w_best, best, history = pso_minimize(self.objective, 10, h, seed)
-            wins += best < 5e-2
-            assert best <= history[0] / 30  # collaborative search really moved
-        assert wins >= 9
-
-    def test_history_is_non_increasing(self):
-        h = HyperParameters(rounds=50, num_workers=8, inertia_mode="linear")
-        _, _, history = pso_minimize(self.objective, 5, h, seed=3)
-        assert all(b <= a for a, b in zip(history, history[1:]))
-
     def test_structural_equivalence_with_swarm(self):
         # with the gradient term off and a common objective, the protocol's
         # trajectory equals canonical swarm optimization bit for bit
@@ -164,17 +156,20 @@ class TestPso:
         def objective(w):
             return loss(spec, w, common)
 
-        particles = make_particles(objective, dim, h.num_workers, seed)
+        starts = [
+            derived_rng(seed, DOMAIN_INIT, i).uniform(-1.0, 1.0, size=dim)
+            for i in range(h.num_workers)
+        ]
 
         from swarmlearn.swarm import WorkerState
 
         workers = [
             WorkerState(
                 worker_id=i,
-                w=particles[i].w.copy(),
+                w=starts[i].copy(),
                 v=np.zeros(dim),
-                w_p=particles[i].w.copy(),
-                f_p=particles[i].f_p,
+                w_p=starts[i].copy(),
+                f_p=objective(starts[i]),
                 train_features=common.features,
                 train_labels=common.labels,
                 score_set=common,
@@ -184,13 +179,11 @@ class TestPso:
         ]
         wiring = ProtocolWiring(h, spec, common, True, AttackSpec())
         ps = initial_ps()
-        f_g, w_g = math.inf, None
-        for t in range(h.rounds):
+        for t, (x, f_p, f_g, w_g) in enumerate(canonical_pso(objective, starts, h, seed)):
             workers, ps, _ = run_round(workers, ps, wiring, t)
-            particles, f_g, w_g = pso_round(particles, objective, h, t, f_g, w_g)
             for i in range(h.num_workers):
-                assert np.array_equal(workers[i].w, particles[i].w)
-                assert workers[i].f_p == particles[i].f_p
+                assert np.array_equal(workers[i].w, x[i])
+                assert workers[i].f_p == f_p[i]
         assert ps.f_g == f_g
         assert np.array_equal(ps.w_g, w_g)
 
@@ -266,7 +259,7 @@ class TestRunVariant:
 
     def test_pure_pso_is_rejected(self):
         setup, h = small_setup(seed=7)
-        with pytest.raises(ValueError, match="optimization mode"):
+        with pytest.raises(ValueError, match="unknown variant"):
             run_variant("pure_pso", setup, h)
 
     def test_missing_global_train_rejected(self):

@@ -71,7 +71,7 @@ class TestConfigValidation:
         text = BASE_CONFIG.format(out=tmp_path).replace(
             "variants = fedavg, cbdsl_full", "variants = pure_pso"
         )
-        with pytest.raises(Exception, match="optimization"):
+        with pytest.raises(Exception, match="unknown variant"):
             load_config(str(write_config(tmp_path, text)))
 
     def test_attack_with_fedavg_rejected(self, tmp_path):

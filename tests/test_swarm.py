@@ -82,6 +82,14 @@ class TestHybridUpdate:
             w_new, v_new = hybrid_update(w, v, wp, wg, c0, c1, c2, a, g)
             assert np.array_equal(v_new, w_new - w)
 
+    def test_pure_social_pull(self):
+        # with c0 = 0, c1 = 0 and c2 realized as exactly 1, the particle lands
+        # on the global best
+        w = np.array([2.0, -1.0])
+        w_g = np.array([0.5, 0.25])
+        w_new, _ = hybrid_update(w, np.ones(2), w.copy(), w_g, 0.0, 0.0, 1.0, 0.0, np.zeros(2))
+        assert np.allclose(w_new, w_g, atol=1e-15)
+
 
 class TestWorkerStep:
     def test_degenerate_matches_standalone_sgd(self):
