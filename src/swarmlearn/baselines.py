@@ -14,8 +14,8 @@ import numpy as np
 from . import analysis
 from .attacks import AttackSpec
 from .core import HyperParameters, require_finite
-from .core import derived_rng  # noqa: F401  bound only for perfbench's span hook
-from .data import draw_batch_indices
+# Bound here only for perfbench's span hooks; nothing in this module calls them.
+from .core import derived_rng, draw_batch_indices  # noqa: F401
 from .experiment import (
     ExperimentSetup,
     RoundRecord,
@@ -107,8 +107,7 @@ def fedavg_round(workers, w: np.ndarray, h: HyperParameters, spec, t: int):
     grads = np.zeros((len(workers), w.shape[0]))
     losses = np.zeros(len(workers))
     for k, state in enumerate(workers):
-        rng = state.stream.round(t)
-        idx = draw_batch_indices(rng, len(state.train_labels), h.batch_size)
+        _, _, idx = state.round_draws(t, h, coefficients=False)
         batch = Batch(state.train_features[idx], state.train_labels[idx])
         losses[k], grads[k] = loss_and_gradient(spec, w, batch)
     w_new = w - h.alpha * grads.mean(axis=0)

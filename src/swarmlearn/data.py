@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import draw_batch_indices  # noqa: F401  a worker's mini-batch draw, re-exported
 from .model import Batch
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -251,9 +252,3 @@ def emd(p_local: np.ndarray, p_pop: np.ndarray) -> float:
     if p_local.shape != p_pop.shape:
         raise ValueError("histograms must have the same number of classes")
     return float(np.abs(p_local - p_pop).sum())
-
-
-def draw_batch_indices(rng: np.random.Generator, pool_size: int, batch_size: int) -> np.ndarray:
-    """Mini-batch draw without replacement (capped at the pool size)."""
-    take = min(batch_size, pool_size)
-    return rng.choice(pool_size, size=take, replace=False)

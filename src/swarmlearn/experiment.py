@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as datamod
-from .core import DOMAIN_INIT, DOMAIN_ORCHESTRATOR, HyperParameters, derived_rng, worker_stream
+from .core import (
+    DOMAIN_INIT,
+    DOMAIN_ORCHESTRATOR,
+    HyperParameters,
+    derived_rng,
+    draw_table,
+    worker_stream,
+)
 from .model import Batch, ModelSpec, init_params, loss, param_count
 from .swarm import WorkerState
 
@@ -215,9 +222,14 @@ def make_workers(
         raise ValueError("missing global scoring dataset (global_score)")
     # one scoring Batch for every worker; None when score_mode is "none"
     score_set = setup.shared.score.as_batch() if score_mode == "shared" else None
+    pools = [worker_pool(setup, i, with_global_train) for i in range(h.num_workers)]
+    # FedAvg workers (no scoreboard) take no swarm step, so they draw no weights.
+    draws = draw_table(
+        setup.seed, range(h.num_workers), [len(labels) for _, labels in pools], h,
+        coefficients=score_mode != "none",
+    )
     workers = []
-    for i in range(h.num_workers):
-        features, labels = worker_pool(setup, i, with_global_train)
+    for i, (features, labels) in enumerate(pools):
         if score_mode == "local":
             # scored every round, so it stays a contiguous copy
             local_idx = setup.plan.worker_indices[i]
@@ -240,6 +252,7 @@ def make_workers(
                 train_labels=labels,
                 score_set=score_set,
                 stream=worker_stream(seed=setup.seed, worker_id=i),
+                draws=draws[i],
             )
         )
     return workers

@@ -20,12 +20,14 @@ from . import attacks
 from .core import (
     HyperParameters,
     RngStream,
+    WorkerDraws,
     attack_stream,
+    draw_batch_indices,  # noqa: F401  bound here only for perfbench's span hook
     inertia_schedule,
     require_finite,
-    sample_coefficients,
+    stream_draws,
 )
-from .data import Rows, draw_batch_indices
+from .data import Rows
 from .model import Batch, ModelSpec, loss, loss_and_gradient
 
 
@@ -41,6 +43,16 @@ class WorkerState:
     score_set: Batch | None
     stream: RngStream
     is_byzantine: bool = False
+    draws: WorkerDraws | None = None   # this worker's column of the run's draw table
+
+    def round_draws(
+        self, t: int, h: HyperParameters, coefficients: bool = True
+    ) -> tuple[float, float, np.ndarray]:
+        """Round t's (c1, c2, batch positions): read from the run's draw
+        table, or drawn from the stream for a worker built without one."""
+        if self.draws is not None:
+            return self.draws.at(t)
+        return stream_draws(self.stream, t, len(self.train_labels), h, coefficients)
 
 
 @dataclass
@@ -144,10 +156,8 @@ def worker_step(
     The gradient is a mini-batch estimate taken at the pre-update parameters;
     the social pull is suppressed until a global best exists.
     """
-    rng = state.stream.round(t)
-    c1, c2 = sample_coefficients(h, rng)
     c0 = inertia_schedule(h, t)
-    idx = draw_batch_indices(rng, len(state.train_labels), h.batch_size)
+    c1, c2, idx = state.round_draws(t, h)
     batch = Batch(state.train_features[idx], state.train_labels[idx])
     batch_loss, grad = loss_and_gradient(spec, state.w, batch)
 

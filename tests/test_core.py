@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swarmlearn.core as core
 from swarmlearn.core import (
     HyperParameters,
     NonFiniteError,
     derived_rng,
+    draw_table,
     inertia_schedule,
     require_finite,
     sample_coefficients,
+    stream_draws,
     worker_stream,
 )
 from swarmlearn.data import draw_batch_indices
@@ -213,3 +216,90 @@ class TestNumpyStreamAlgorithm:
             for s in range(3)
         ]
         assert same == [floyd] * 3
+
+
+# --- the vectorized draw table ----------------------------------------------------
+
+def assert_table_is_numpy(table, seed, worker_ids, pools, h, coefficients):
+    assert len(table) == len(worker_ids)
+    for draws, worker_id, pool in zip(table, worker_ids, pools):
+        for t in range(h.rounds):
+            c1, c2, batch = stream_draws(worker_stream(seed, worker_id), t, pool, h, coefficients)
+            t1, t2, t_batch = draws.at(t)
+            assert (t1, t2) == (c1, c2)
+            assert t_batch.dtype == batch.dtype and t_batch.tobytes() == batch.tobytes()
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counts the streams numpy derives (the guard and every fallback)."""
+    calls = []
+    monkeypatch.setattr(core, "derived_rng", lambda *key: calls.append(key) or derived_rng(*key))
+    return calls
+
+
+tables = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "worker_ids": st.lists(st.integers(0, 200), min_size=1, max_size=4, unique=True),
+    "pools": st.lists(
+        st.one_of(st.integers(1, 40), st.integers(1, 12_000)), min_size=4, max_size=4
+    ),
+    "rounds": st.integers(1, 4),
+    "batch": st.integers(1, 63),
+    "deltas": st.tuples(DELTAS, DELTAS),
+    "coefficients": st.booleans(),
+})
+
+
+class TestDrawTable:
+    @settings(max_examples=150, deadline=None)
+    @given(tables)
+    def test_table_equals_numpy_stream_by_stream(self, case):
+        ids = case["worker_ids"]
+        pools = case["pools"][: len(ids)]
+        h = HyperParameters(rounds=case["rounds"], batch_size=case["batch"],
+                            delta_c1=case["deltas"][0], delta_c2=case["deltas"][1])
+        table = draw_table(case["seed"], ids, pools, h, case["coefficients"])
+        assert_table_is_numpy(table, case["seed"], ids, pools, h, case["coefficients"])
+
+    def test_numpy_derives_only_the_guard_stream(self, derivations):
+        h = HyperParameters(rounds=200, batch_size=10)
+        table = draw_table(1, range(10), [900] * 10, h)
+        assert len(derivations) == 1
+        assert_table_is_numpy(table, 1, range(10), [900] * 10, h, True)
+
+    def test_rejected_draws_fall_back_to_numpy(self, monkeypatch, derivations):
+        # flag every third lane as rejected and spoil its draw: numpy redraws
+        # exactly those streams
+        exact = core._Pcg64Lanes.bounded
+
+        def rejecting(self, r):
+            value, rejected = exact(self, r)
+            forced = np.arange(len(value)) % 3 == 0
+            return np.where(forced, 0, value), rejected | forced
+
+        monkeypatch.setattr(core._Pcg64Lanes, "bounded", rejecting)
+        h = HyperParameters(rounds=6, batch_size=5)
+        table = draw_table(4, [0, 1], [30, 30], h)
+        assert len(derivations) == 4 + 1     # the (t, worker) lanes 0, 3, 6, 9 and the guard
+        assert_table_is_numpy(table, 4, [0, 1], [30, 30], h, True)
+
+    def test_guard_mismatch_hands_every_stream_to_numpy(self, monkeypatch, derivations):
+        # a vectorized path that silently disagrees with numpy (as a numpy
+        # whose choice changed would) is caught by the per-table guard
+        monkeypatch.setattr(core._Pcg64Lanes, "next32", lambda self: self.next64() & 7)
+        h = HyperParameters(rounds=3, batch_size=4)
+        table = draw_table(2, [0, 1, 2], [50, 50, 50], h)
+        assert len(derivations) == 1 + 3 * 3
+        assert_table_is_numpy(table, 2, [0, 1, 2], [50, 50, 50], h, True)
+
+    @pytest.mark.parametrize("seed, pool, batch", [
+        (2**32, 300, 10),           # the seed takes two entropy words
+        (2**40 + 7, 30, 40),
+        (5, 10_001, 201),           # numpy's tail-shuffle branch
+    ])
+    def test_uncovered_streams_are_drawn_by_numpy(self, derivations, seed, pool, batch):
+        h = HyperParameters(rounds=2, batch_size=batch)
+        table = draw_table(seed, [0, 1], [pool, pool], h)
+        assert len(derivations) == 2 * 2
+        assert_table_is_numpy(table, seed, [0, 1], [pool, pool], h, True)

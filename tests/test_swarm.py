@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swarmlearn.attacks import AttackSpec
+from swarmlearn.attacks import STRATEGIES, AttackSpec
+from swarmlearn.baselines import run_variant
 from swarmlearn.core import HyperParameters, NonFiniteError, sample_coefficients, worker_stream
 from swarmlearn.data import draw_batch_indices, synthetic_blobs
 from swarmlearn.experiment import DataConfig, build_setup, make_workers
@@ -300,3 +304,76 @@ class TestRunRound:
         assert outcome.vector_uplinks == 1
         assert outcome.detections == 0
         assert ps.blacklist == set()
+
+
+# SMALL with finer shards, so that five workers never empty a class the
+# shared sets draw from
+ROOMY = replace(SMALL, num_shards=40)
+round_configs = st.fixed_dictionaries({
+    "seed": st.integers(0, 3),
+    "num_workers": st.integers(2, 5),
+    "rounds": st.integers(1, 8),
+    "strategy": st.sampled_from(STRATEGIES),
+    "attackers": st.sets(st.integers(0, 4), max_size=5),
+    "verification": st.booleans(),
+    "inertia_mode": st.sampled_from(("constant", "linear")),
+    "init_mode": st.sampled_from(("shared", "per_worker")),
+    "global_train": st.booleans(),
+    "order": st.randoms(use_true_random=False),
+})
+
+
+class TestRoundInvariants:
+    @settings(max_examples=40, deadline=None)
+    @given(round_configs)
+    def test_protocol_invariants_over_random_configs(self, cfg):
+        h = HyperParameters(
+            rounds=cfg["rounds"], num_workers=cfg["num_workers"], batch_size=5,
+            inertia_mode=cfg["inertia_mode"],
+        )
+        setup = build_setup(ROOMY, "softmax_regression", (), h, cfg["seed"], cfg["init_mode"])
+        attackers = frozenset(i for i in cfg["attackers"] if i < h.num_workers)
+        attack = AttackSpec(attackers, cfg["strategy"])
+        workers = [
+            replace(w, is_byzantine=w.worker_id in attackers)
+            for w in make_workers(setup, h, cfg["global_train"], "shared")
+        ]
+        wiring = ProtocolWiring(
+            h, setup.spec, setup.shared.score.as_batch(), cfg["verification"], attack
+        )
+        shuffled, ps, ps_shuffled = list(workers), initial_ps(), initial_ps()
+        for t in range(h.rounds):
+            before = set(ps.blacklist)
+            f_before = ps.f_g
+            workers, ps, outcome = run_round(workers, ps, wiring, t)
+            cfg["order"].shuffle(shuffled)
+            shuffled, ps_shuffled, shuffled_outcome = run_round(shuffled, ps_shuffled, wiring, t)
+            assert ps.f_g <= f_before
+            assert before <= ps.blacklist
+            assert outcome.scalar_uplinks == h.num_workers - len(before)
+            # the order workers are handed in changes nothing
+            same = replace(shuffled_outcome, batch_losses=None) == replace(outcome, batch_losses=None)
+            assert same
+            assert shuffled_outcome.batch_losses.tobytes() == outcome.batch_losses.tobytes()
+            assert ps_shuffled.f_g == ps.f_g and ps_shuffled.blacklist == ps.blacklist
+            assert (ps.w_g is None) == (ps_shuffled.w_g is None)
+            if ps.w_g is not None:
+                assert ps_shuffled.w_g.tobytes() == ps.w_g.tobytes()
+            by_id = {w.worker_id: w for w in shuffled}
+            for w in workers:
+                assert w.w.tobytes() == by_id[w.worker_id].w.tobytes()
+                assert w.f_p == by_id[w.worker_id].f_p
+
+    @pytest.mark.parametrize("strategy", ["fake_loss_garbage", "fake_loss_scaled"])
+    def test_all_attackers_leave_no_global_best(self, strategy):
+        # every claim is forged and screened out at once: no model is ever
+        # accepted, so the run has no global best to test or score
+        h = HyperParameters(rounds=5, num_workers=4, batch_size=5)
+        setup, _ = small_setup(seed=6, h=h)
+        attack = AttackSpec(frozenset(range(h.num_workers)), strategy)
+        result = run_variant("cbdsl_full", setup, h, attack)
+        assert [r.detections for r in result.records] == [h.num_workers] + [0] * (h.rounds - 1)
+        for r in result.records:
+            assert r.f_g == math.inf
+            assert math.isnan(r.test_accuracy)
+            assert r.vector_broadcasts == 0
