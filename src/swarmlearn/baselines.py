@@ -147,6 +147,7 @@ def run_variant(
 
     records = []
     min_loss = math.inf
+    tested, test_acc = None, math.nan   # a swarm round without a broadcast keeps its w_g
     for t, (outcome, w_test, worker_ws, observed_loss) in enumerate(rounds):
         diag_row: dict[str, float] = {}
         if stats is not None:
@@ -155,9 +156,8 @@ def run_variant(
             genie = analysis.genie_step(genie, h, setup.spec, population, t)
             diag_row.update(_divergence_row(worker_ws, genie))
         min_loss = min(min_loss, observed_loss)
-        test_acc = (
-            accuracy(setup.spec, w_test, setup.test) if w_test is not None else math.nan
-        )
+        if w_test is not tested:
+            tested, test_acc = w_test, accuracy(setup.spec, w_test, setup.test)
         records.append(
             RoundRecord(
                 round_index=t,

@@ -15,7 +15,7 @@ from swarmlearn.core import (
 )
 from swarmlearn.data import draw_batch_indices
 from swarmlearn.experiment import DataConfig, build_setup, initial_w_for, make_workers
-from swarmlearn.model import Batch, ModelSpec, loss, loss_and_gradient, param_count
+from swarmlearn.model import Batch, ModelSpec, accuracy, loss, loss_and_gradient, param_count
 from swarmlearn.baselines import (
     DiagnosticsFlags,
     fedavg_round,
@@ -197,6 +197,22 @@ class TestRunVariant:
         }
         digests = {(r.partition_digest, r.init_digest) for r in results.values()}
         assert len(digests) == 1
+
+    @pytest.mark.parametrize("variant", ["cbdsl_full", "fedavg"])
+    def test_accuracy_is_taken_once_per_new_model(self, monkeypatch, variant):
+        # a swarm round without a broadcast tests the same global best again
+        import swarmlearn.baselines as baselines_mod
+
+        setup, h = small_setup(seed=8, h=HyperParameters(rounds=30, num_workers=4, batch_size=5))
+        calls = []
+        monkeypatch.setattr(
+            baselines_mod, "accuracy", lambda *args: calls.append(1) or accuracy(*args)
+        )
+        result = run_variant(variant, setup, h)
+        broadcasts = sum(r.vector_broadcasts for r in result.records)
+        assert 0 < len(calls) == broadcasts
+        if variant == "cbdsl_full":
+            assert broadcasts < h.rounds
 
     def test_pool_wiring(self):
         setup, h = small_setup(seed=6)
