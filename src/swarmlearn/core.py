@@ -1,4 +1,4 @@
-"""Shared domain plumbing: hyperparameters, deterministic RNG streams, coefficients."""
+"""Shared domain plumbing: hyperparameters, deterministic RNG streams and their draws."""
 from __future__ import annotations
 
 import math
