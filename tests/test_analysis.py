@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmlearn import analysis
 from swarmlearn.attacks import AttackSpec
@@ -9,7 +11,7 @@ from swarmlearn.core import DOMAIN_DIAG, HyperParameters, derived_rng
 from swarmlearn.data import label_histogram, synthetic_blobs
 from swarmlearn.experiment import DataConfig, build_setup, make_workers, population_batch
 from swarmlearn.model import ModelSpec, loss, param_count
-from swarmlearn.swarm import ProtocolWiring, initial_ps, run_round
+from swarmlearn.swarm import ProtocolWiring, StepInfo, initial_ps, run_round
 
 SMALL = DataConfig(
     classes=4, per_class=250, dim=5, separation=6.0, test_per_class=25,
@@ -32,6 +34,145 @@ class TestVelocityReconstruction:
             row = stats.consume_round(outcome.step_infos)
             assert row["recursion_residual"] <= 1e-10
             assert row["velocity_residual"] <= 1e-10
+
+
+def _oracle_cosine_step(v, grad):
+    gnorm = float(np.linalg.norm(grad))
+    if gnorm == 0.0:
+        raise ValueError("gradient norm is zero; sample must be skipped")
+    vnorm = float(np.linalg.norm(v))
+    if vnorm == 0.0:
+        return 0.0, 0.0, True
+    cos = float(v @ (-grad)) / (vnorm * gnorm)
+    return cos, vnorm / gnorm, False
+
+
+class OracleCosineStats(analysis.CosineStats):
+    """The per-worker ``consume_round`` the package had before it worked over
+    (U, D) rows: one ``np.linalg.norm`` and one ``@`` per vector and worker."""
+
+    def consume_round(self, infos):
+        round_vals = {k: [] for k in ("cos", "cos_p", "cos_g", "ratio", "ratio_p", "ratio_g")}
+        recursion_res = 0.0
+        vel_res = 0.0
+        grad_sqs = []
+        for info in infos:
+            grad_sqs.append(info.grad_sq)
+            self.grad_sq_sum += info.grad_sq
+            self.grad_sq_count += 1
+            self.grad_sq_min = min(self.grad_sq_min, info.grad_sq)
+
+            w_prev = info.w_pre - info.v_pre
+            w_g = info.w_g_used if info.w_g_used is not None else w_prev
+            v_p, v_g = info.w_p_pre - w_prev, w_g - w_prev
+            recon = -self.h.alpha * info.grad
+            recon = recon + (info.c0 - info.c1 - info.c2) * info.v_pre
+            recon = recon + info.c1 * v_p + info.c2 * v_g
+            recursion_res = max(recursion_res, float(np.max(np.abs(info.v_post - recon))))
+            vel_res = max(
+                vel_res, float(np.max(np.abs(info.v_post - (info.w_post - info.w_pre))))
+            )
+
+            if info.grad_sq == 0.0:
+                self.zero_grad += 1
+                continue
+            self.samples += 1
+            for vec, ext_q, ext_u, cos_key, ratio_key in (
+                (info.v_pre, self.q, self.u, "cos", "ratio"),
+                (v_p, self.qp, self.up, "cos_p", "ratio_p"),
+                (v_g, self.qg, self.ug, "cos_g", "ratio_g"),
+            ):
+                cos, ratio, flagged = _oracle_cosine_step(vec, info.grad)
+                if flagged:
+                    self.zero_velocity += 1
+                    continue
+                ext_q.add(cos)
+                ext_u.add(ratio)
+                round_vals[cos_key].append(cos)
+                round_vals[ratio_key].append(ratio)
+
+        row = {}
+        for key, vals in round_vals.items():
+            row[f"{key}_min"] = min(vals) if vals else math.nan
+            row[f"{key}_max"] = max(vals) if vals else math.nan
+        row["grad_sq_mean"] = float(np.mean(grad_sqs)) if grad_sqs else math.nan
+        row["recursion_residual"] = recursion_res
+        row["velocity_residual"] = vel_res
+        return row
+
+
+def same_float(a, b):
+    """Equal including the sign of zero, with NaN equal to NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+SCALES = (1e-3, 1.0, 1e3, 1e100)
+
+
+@st.composite
+def step_rounds(draw):
+    """One to three rounds of U step logs over D parameters. Rows may carry a
+    zero velocity, a zero pull toward the personal best, a zero gradient, no
+    global best yet, a NaN entry, and vectors at scales up to 1e100."""
+    u = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        flags = draw(st.lists(
+            st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+                      st.integers(0, 9)),
+            min_size=u, max_size=u,
+        ))
+        infos = []
+        for k, (zero_v, zero_vp, zero_grad, no_wg, poison) in enumerate(flags):
+            vec = {
+                name: rng.standard_normal(d) * SCALES[rng.integers(len(SCALES))]
+                for name in ("w_pre", "v_pre", "w_p_pre", "w_g_used", "grad", "v_post")
+            }
+            if zero_v:
+                vec["v_pre"] = np.zeros(d)
+            if zero_vp:
+                vec["w_p_pre"] = vec["w_pre"] - vec["v_pre"]
+            if zero_grad:
+                vec["grad"] = np.zeros(d)
+            if no_wg:
+                vec["w_g_used"] = None
+            if poison == 0:
+                vec["grad"][rng.integers(d)] = math.nan
+            vec["w_post"] = vec["w_pre"] + vec["v_post"] * rng.choice([1.0, 1.0 + 1e-12])
+            c0, c1, c2 = rng.uniform(0.0, 2.0, 3)
+            infos.append(StepInfo(
+                worker_id=k, c0=float(c0), c1=float(c1), c2=0.0 if no_wg else float(c2),
+                batch_loss=0.0, grad_sq=float(vec["grad"] @ vec["grad"]), **vec,
+            ))
+        rounds.append(tuple(infos))
+    return rounds
+
+
+def stats_state(stats):
+    extrema = [(e.lo, e.hi, e.count) for e in (stats.q, stats.qp, stats.qg,
+                                                stats.u, stats.up, stats.ug)]
+    return [v for triple in extrema for v in triple] + [
+        stats.samples, stats.zero_velocity, stats.zero_grad,
+        stats.grad_sq_sum, stats.grad_sq_count, stats.grad_sq_min,
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(step_rounds(), st.sampled_from([0.0, 0.01, 0.1]))
+def test_consume_round_equals_per_worker_oracle(rounds, alpha):
+    h = HyperParameters(rounds=3, num_workers=1, batch_size=1, alpha=alpha)
+    stats, oracle = analysis.CosineStats(h), OracleCosineStats(h)
+    for infos in rounds:
+        got, want = stats.consume_round(infos), oracle.consume_round(infos)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert same_float(got[key], want[key]), key
+        for a, b in zip(stats_state(stats), stats_state(oracle)):
+            assert same_float(a, b)
 
 
 class TestCosineStep:

@@ -43,15 +43,26 @@ class TestFedAvg:
         workers = make_workers(setup, h, False, "none")
         w0 = setup.init_w.copy()
         w1, losses = fedavg_round(workers, w0, h, setup.spec, 0)
-        # oracle: replay each worker's draw and average the two gradients
-        grads = []
-        for worker in workers:
-            rng = worker_stream(setup.seed, worker.worker_id).round(0)
-            idx = draw_batch_indices(rng, len(worker.train_labels), h.batch_size)
-            batch = Batch(worker.train_features[idx], worker.train_labels[idx])
-            grads.append(loss_and_gradient(setup.spec, w0, batch)[1])
-        expected = w0 - h.alpha * (grads[0] + grads[1]) / 2
-        assert np.allclose(w1, expected, atol=1e-16)
+        want_w1, want_losses = fedavg_oracle(workers, w0, h, setup.spec, 0, setup.seed)
+        assert w1.tobytes() == want_w1.tobytes()
+        assert losses.tobytes() == want_losses.tobytes()
+
+    def test_unequal_batch_lengths(self):
+        # a pool smaller than B gives a shorter batch than its neighbour's
+        spec = ModelSpec("softmax_regression", input_dim=4, num_classes=3)
+        h = HyperParameters(rounds=3, num_workers=2, batch_size=5)
+        rng = np.random.default_rng(11)
+        workers = [
+            make_fedavg_worker(rng.standard_normal((n, 4)), rng.integers(0, 3, n), seed=5,
+                               worker_id=k)
+            for k, n in enumerate((3, 12))
+        ]
+        w = rng.standard_normal(param_count(spec))
+        for t in range(h.rounds):
+            want_w, want_losses = fedavg_oracle(workers, w, h, spec, t, seed=5)
+            w, losses = fedavg_round(workers, w, h, spec, t)
+            assert w.tobytes() == want_w.tobytes()
+            assert losses.tobytes() == want_losses.tobytes()
 
     def test_zero_gradients_are_a_fixed_point(self):
         # same feature with both labels at zero weights: the gradient cancels
@@ -93,11 +104,11 @@ class TestFedAvg:
         assert total == h.rounds * h.num_workers
 
 
-def make_fedavg_worker(features, labels, seed):
+def make_fedavg_worker(features, labels, seed, worker_id=0):
     from swarmlearn.swarm import WorkerState
 
     return WorkerState(
-        worker_id=0,
+        worker_id=worker_id,
         w=np.zeros(1),
         v=np.zeros(1),
         w_p=np.zeros(1),
@@ -105,8 +116,22 @@ def make_fedavg_worker(features, labels, seed):
         train_features=features,
         train_labels=labels,
         score_set=None,
-        stream=worker_stream(seed, 0),
+        stream=worker_stream(seed, worker_id),
     )
+
+
+def fedavg_oracle(workers, w, h, spec, t, seed):
+    """A FedAvg round from plain parts: replay each worker's numpy draw, take
+    one gradient per worker at w, stack the gradients and average them."""
+    losses, grads = [], []
+    for worker in workers:
+        rng = worker_stream(seed, worker.worker_id).round(t)
+        idx = draw_batch_indices(rng, len(worker.train_labels), h.batch_size)
+        batch = Batch(worker.train_features[idx], worker.train_labels[idx])
+        value, grad = loss_and_gradient(spec, w, batch)
+        losses.append(value)
+        grads.append(grad)
+    return w - h.alpha * np.stack(grads).mean(axis=0), np.array(losses)
 
 
 def canonical_pso(objective, positions, h, seed):

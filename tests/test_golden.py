@@ -6,11 +6,15 @@ digest that changes on purpose is updated together with its reason.
 """
 import configparser
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from swarmlearn.cli import run_experiment
 
-DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
+ROOT = Path(__file__).resolve().parents[1]
+DESK = ROOT / "configs" / "desk.ini"
 
 
 def desk_parser(**experiment) -> configparser.ConfigParser:
@@ -58,16 +62,25 @@ def unverified_scaled_parser() -> configparser.ConfigParser:
     return parser
 
 
-def csv_digests(parser: configparser.ConfigParser, tmp_path: Path) -> dict[str, str]:
+def write_config(parser: configparser.ConfigParser, tmp_path: Path) -> Path:
     config = tmp_path / "golden.ini"
     with open(config, "w", encoding="utf-8") as f:
         parser.write(f)
-    out = tmp_path / "out"
-    assert run_experiment(str(config), output_dir=str(out)) == 0
+    return config
+
+
+def tree_digests(out: Path) -> dict[str, str]:
     return {
         p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.rglob("*.csv"))
     }
+
+
+def csv_digests(parser: configparser.ConfigParser, tmp_path: Path) -> dict[str, str]:
+    config = write_config(parser, tmp_path)
+    out = tmp_path / "out"
+    assert run_experiment(str(config), output_dir=str(out)) == 0
+    return tree_digests(out)
 
 
 def assert_digests(got: dict[str, str], expected: dict[str, str]):
@@ -153,3 +166,23 @@ def test_mlp_iid_digests(tmp_path):
 
 def test_unverified_scaled_digests(tmp_path):
     assert_digests(csv_digests(unverified_scaled_parser(), tmp_path), UNVERIFIED_SCALED_DIGESTS)
+
+
+def test_audit_digests_in_fresh_processes(tmp_path):
+    """The audit bytes do not depend on the process: a fresh interpreter with
+    hash seed 0 and the default BLAS threads, and one with hash seed 1 and a
+    single BLAS thread, both write the pinned digests."""
+    config = write_config(audit_parser(), tmp_path)
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("PYTHONHASHSEED", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
+    )
+    for name, extra in (("hash0", {"PYTHONHASHSEED": "0"}),
+                        ("hash1_one_thread", {"PYTHONHASHSEED": "1", "OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        subprocess.run(
+            [sys.executable, "-m", "swarmlearn", "run", str(config), "--output-dir", str(out)],
+            env={**base, **extra}, check=True, capture_output=True, timeout=300,
+        )
+        assert_digests(tree_digests(out), AUDIT_DIGESTS)
