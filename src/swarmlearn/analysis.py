@@ -18,17 +18,39 @@ from .model import Batch, ModelSpec, gradient, param_count
 from .swarm import StepInfo
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[u] @ b[u]`` for every row u of two (U, D) arrays, bit for bit.
+
+    One stacked matmul of (1, D) @ (D, 1) slices runs the same dot product
+    per row as ``@`` on the rows alone; ``(a * b).sum(axis=1)`` and
+    ``np.einsum`` sum in other orders.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every row of a (U, D) array, bit for bit."""
+    return np.sqrt(row_dots(a, a))
+
+
+def _cosines(v: np.ndarray, neg_grad: np.ndarray, gnorm: np.ndarray):
+    """Per row: the cosine of v with the descent direction, the norm ratio
+    ||v|| / ||grad|| and ||v||. Rows with a zero norm come out inf or NaN."""
+    vnorm = row_norms(v)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return row_dots(v, neg_grad) / (vnorm * gnorm), vnorm / gnorm, vnorm
+
+
 def cosine_step(v: np.ndarray, grad: np.ndarray) -> tuple[float, float, bool]:
     """Cosine of the angle between v and the descent direction, plus the
     norm ratio ||v|| / ||grad||. Zero-velocity samples come back flagged."""
     gnorm = float(np.linalg.norm(grad))
     if gnorm == 0.0:
         raise ValueError("gradient norm is zero; sample must be skipped")
-    vnorm = float(np.linalg.norm(v))
-    if vnorm == 0.0:
+    cos, ratio, vnorm = _cosines(v[None], -grad[None], np.array([gnorm]))
+    if vnorm[0] == 0.0:
         return 0.0, 0.0, True
-    cos = float(v @ (-grad)) / (vnorm * gnorm)
-    return cos, vnorm / gnorm, False
+    return float(cos[0]), float(ratio[0]), False
 
 
 class _Extrema:
@@ -39,10 +61,13 @@ class _Extrema:
         self.hi = -math.inf
         self.count = 0
 
-    def add(self, value: float):
-        self.lo = min(self.lo, value)
-        self.hi = max(self.hi, value)
-        self.count += 1
+    def add(self, *values: float):
+        """Fold ``values`` in, in order. ``min``/``max`` keep the running value
+        unless a value compares below/above it, so a NaN never enters."""
+        if values:
+            self.lo = min(self.lo, *values)
+            self.hi = max(self.hi, *values)
+            self.count += len(values)
 
     @property
     def min(self) -> float:
@@ -76,55 +101,63 @@ class CosineStats:
         self.grad_sq_min = math.inf
 
     def consume_round(self, infos: tuple[StepInfo, ...]) -> dict[str, float]:
-        """Fold one round of step logs in; returns the round's diagnostic row."""
-        round_vals: dict[str, list[float]] = {k: [] for k in
-                                              ("cos", "cos_p", "cos_g", "ratio", "ratio_p", "ratio_g")}
-        recursion_res = 0.0
-        vel_res = 0.0
-        grad_sqs = []
-        for info in infos:
-            grad_sqs.append(info.grad_sq)
-            self.grad_sq_sum += info.grad_sq
-            self.grad_sq_count += 1
-            self.grad_sq_min = min(self.grad_sq_min, info.grad_sq)
+        """Fold one round of step logs in; returns the round's diagnostic row.
 
-            # Personal/global optimal velocities relative to the previous position.
-            w_prev = info.w_pre - info.v_pre
-            w_g = info.w_g_used if info.w_g_used is not None else w_prev
-            v_p, v_g = info.w_p_pre - w_prev, w_g - w_prev
-            recon = -self.h.alpha * info.grad
-            recon = recon + (info.c0 - info.c1 - info.c2) * info.v_pre
-            recon = recon + info.c1 * v_p + info.c2 * v_g
-            recursion_res = max(recursion_res, float(np.max(np.abs(info.v_post - recon))))
-            vel_res = max(
-                vel_res, float(np.max(np.abs(info.v_post - (info.w_post - info.w_pre))))
-            )
+        The vectors are stacked as (U, D) rows and every norm, dot and
+        residual is taken over the rows at once. The values are folded into
+        the extrema in worker order with Python's ``min``/``max``, as one
+        worker at a time would.
+        """
+        w_pre, w_post, v_pre, v_post, w_p, grad = (
+            np.array([getattr(info, name) for info in infos])
+            for name in ("w_pre", "w_post", "v_pre", "v_post", "w_p_pre", "grad")
+        )
+        coefficients = np.array([(info.c0, info.c1, info.c2) for info in infos])
+        c0, c1, c2 = coefficients[:, 0:1], coefficients[:, 1:2], coefficients[:, 2:3]
+        grad_sqs = [info.grad_sq for info in infos]
+        for grad_sq in grad_sqs:
+            self.grad_sq_sum += grad_sq
+        self.grad_sq_count += len(grad_sqs)
+        self.grad_sq_min = min(self.grad_sq_min, *grad_sqs)
 
-            if info.grad_sq == 0.0:
-                self.zero_grad += 1
-                continue
-            self.samples += 1
-            for vec, ext_q, ext_u, cos_key, ratio_key in (
-                (info.v_pre, self.q, self.u, "cos", "ratio"),
-                (v_p, self.qp, self.up, "cos_p", "ratio_p"),
-                (v_g, self.qg, self.ug, "cos_g", "ratio_g"),
-            ):
-                cos, ratio, flagged = cosine_step(vec, info.grad)
-                if flagged:
-                    self.zero_velocity += 1
-                    continue
-                ext_q.add(cos)
-                ext_u.add(ratio)
-                round_vals[cos_key].append(cos)
-                round_vals[ratio_key].append(ratio)
+        # Personal/global optimal velocities relative to the previous position.
+        w_prev = w_pre - v_pre
+        w_g = np.array([info.w_g_used if info.w_g_used is not None else prev
+                        for info, prev in zip(infos, w_prev)])
+        v_p, v_g = w_p - w_prev, w_g - w_prev
+        recon = -self.h.alpha * grad
+        recon = recon + (c0 - c1 - c2) * v_pre
+        recon = recon + c1 * v_p + c2 * v_g
+
+        # Zero-gradient samples carry no direction; zero-velocity ones no angle.
+        sampled = np.array(grad_sqs) != 0.0
+        n_sampled = int(np.count_nonzero(sampled))
+        self.samples += n_sampled
+        self.zero_grad += len(infos) - n_sampled
+        gnorm, neg_grad = row_norms(grad), -grad
+        round_vals: dict[str, list[float]] = {}
+        for vec, ext_q, ext_u, cos_key, ratio_key in (
+            (v_pre, self.q, self.u, "cos", "ratio"),
+            (v_p, self.qp, self.up, "cos_p", "ratio_p"),
+            (v_g, self.qg, self.ug, "cos_g", "ratio_g"),
+        ):
+            cos, ratio, vnorm = _cosines(vec, neg_grad, gnorm)
+            kept = sampled & (vnorm != 0.0)
+            self.zero_velocity += n_sampled - int(np.count_nonzero(kept))
+            round_vals[cos_key], round_vals[ratio_key] = cos[kept].tolist(), ratio[kept].tolist()
+            ext_q.add(*round_vals[cos_key])
+            ext_u.add(*round_vals[ratio_key])
 
         row: dict[str, float] = {}
-        for key, vals in round_vals.items():
+        for key in ("cos", "cos_p", "cos_g", "ratio", "ratio_p", "ratio_g"):
+            vals = round_vals[key]
             row[f"{key}_min"] = min(vals) if vals else math.nan
             row[f"{key}_max"] = max(vals) if vals else math.nan
-        row["grad_sq_mean"] = float(np.mean(grad_sqs)) if grad_sqs else math.nan
-        row["recursion_residual"] = recursion_res
-        row["velocity_residual"] = vel_res
+        row["grad_sq_mean"] = float(np.mean(grad_sqs))
+        row["recursion_residual"] = max(0.0, *np.max(np.abs(v_post - recon), axis=1).tolist())
+        row["velocity_residual"] = max(
+            0.0, *np.max(np.abs(v_post - (w_post - w_pre)), axis=1).tolist()
+        )
         return row
 
     @property

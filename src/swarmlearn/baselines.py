@@ -103,13 +103,24 @@ class RunResult:
 
 
 def fedavg_round(workers, w: np.ndarray, h: HyperParameters, spec, t: int):
-    """One synchronized round: mean of all workers' mini-batch gradients at w."""
-    grads = np.zeros((len(workers), w.shape[0]))
-    losses = np.zeros(len(workers))
-    for k, state in enumerate(workers):
+    """One synchronized round: mean of all workers' mini-batch gradients at w.
+
+    The workers' batches are stacked and their gradients taken in one kernel
+    call per batch length (one call when every pool holds at least B samples).
+    """
+    batches = []
+    for state in workers:
         _, _, idx = state.round_draws(t, h, coefficients=False)
-        batch = Batch(state.train_features[idx], state.train_labels[idx])
-        losses[k], grads[k] = loss_and_gradient(spec, w, batch)
+        batches.append((state.train_features[idx], state.train_labels[idx]))
+    grads = np.empty((len(workers), w.shape[0]))
+    losses = np.empty(len(workers))
+    lengths = [len(labels) for _, labels in batches]
+    for n in sorted(set(lengths)):
+        members = [k for k, m in enumerate(lengths) if m == n]
+        stacked = Batch(
+            np.stack([batches[k][0] for k in members]), np.stack([batches[k][1] for k in members])
+        )
+        losses[members], grads[members] = loss_and_gradient(spec, w, stacked)
     w_new = w - h.alpha * grads.mean(axis=0)
     require_finite(w_new, f"fedavg consensus at round {t}")
     return w_new, losses
@@ -184,7 +195,7 @@ def _divergence_row(worker_ws, genie):
     gnorm = float(np.linalg.norm(genie.w))
     if gnorm == 0.0:
         return {"divergence_mean": math.nan, "divergence_max": math.nan}
-    divs = [float(np.linalg.norm(w - genie.w)) / gnorm for w in worker_ws]
+    divs = analysis.row_norms(np.stack(worker_ws) - genie.w) / gnorm
     return {"divergence_mean": float(np.mean(divs)), "divergence_max": float(np.max(divs))}
 
 

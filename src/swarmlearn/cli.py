@@ -391,20 +391,49 @@ def run_experiment(config_path: str, output_dir: str | None = None,
     return 0
 
 
+def _uplink_totals(summary_path: Path) -> dict[int, dict[str, int]]:
+    """Vector-uplink totals by seed and variant; ConfigError naming the file
+    and the bad line or column when the summary cannot give them."""
+    with open(summary_path, newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        missing = [c for c in ("variant", "seed", "total_vector_uplinks")
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{summary_path}: missing column(s) {', '.join(missing)}")
+        by_seed: dict[int, dict[str, int]] = {}
+        for row in reader:
+            variant = row["variant"]
+            try:
+                seed, total = int(row["seed"]), int(row["total_vector_uplinks"])
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{summary_path} line {reader.line_num}: seed {row['seed']!r} and "
+                    f"total_vector_uplinks {row['total_vector_uplinks']!r} must be integers"
+                ) from None
+            # A FedAvg total is the denominator of every ratio of its seed.
+            floor = 1 if variant in VARIANTS and not VARIANTS[variant].swarm else 0
+            if total < floor:
+                raise ConfigError(
+                    f"{summary_path} line {reader.line_num}: {variant} seed {seed} has "
+                    f"total_vector_uplinks {total}, below {floor}"
+                )
+            by_seed.setdefault(seed, {})[variant] = total
+    return by_seed
+
+
 def report_communication(output_dir: str) -> int:
     """Tabulate per-seed vector-uplink totals of swarm variants vs FedAvg."""
     summary_path = Path(output_dir) / "summary.csv"
     if not summary_path.exists():
         print(f"config error: no summary.csv under {output_dir}", file=sys.stderr)
         return 2
-    with open(summary_path, newline="", encoding="utf-8") as f:
-        rows = list(csv.DictReader(f))
-
-    by_seed: dict[int, dict[str, int]] = {}
-    for row in rows:
-        by_seed.setdefault(int(row["seed"]), {})[row["variant"]] = int(
-            row["total_vector_uplinks"]
-        )
+    try:
+        by_seed = _uplink_totals(summary_path)
+    except ConfigError as exc:
+        # A table from an earlier summary would sit here as if it were this one's.
+        (Path(output_dir) / "communication.csv").unlink(missing_ok=True)
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
     table = []
     for seed in sorted(by_seed):

@@ -267,6 +267,37 @@ class TestReport:
     def test_missing_summary_is_error(self, tmp_path):
         assert report_communication(str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda text: text.replace("\nfedavg,1,", "\nfedavg,one,", 1), "line 2"),
+        (lambda text: text.replace("total_vector_uplinks", "uplinks", 1), "total_vector_uplinks"),
+        (lambda text: _set_total(text, "fedavg", 0), "line 2"),
+    ], ids=["non_integer_seed", "missing_column", "zero_fedavg_total"])
+    def test_malformed_summary_is_a_config_error(self, tmp_path, capsys, edit, named):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run_experiment(str(path)) == 0
+        assert report_communication(str(out)) == 0
+        capsys.readouterr()
+        summary = out / "summary.csv"
+        summary.write_text(edit(summary.read_text()))
+        assert report_communication(str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(summary) in err and named in err
+        assert not (out / "communication.csv").exists()
+
+
+def _set_total(text, variant, total):
+    """The summary with ``variant``'s first total_vector_uplinks set to ``total``."""
+    lines = text.splitlines(keepends=True)
+    column = lines[0].rstrip("\r\n").split(",").index("total_vector_uplinks")
+    for i, line in enumerate(lines[1:], start=1):
+        fields = line.rstrip("\r\n").split(",")
+        if fields[0] == variant:
+            fields[column] = str(total)
+            lines[i] = ",".join(fields) + line[len(line.rstrip("\r\n")):]
+            break
+    return "".join(lines)
+
 
 class TestStaleTables:
     def test_failed_rerun_leaves_no_summary(self, tmp_path, monkeypatch):

@@ -242,6 +242,63 @@ def test_kernels_bit_identical_to_plain_formulas(case):
     assert batch.labels.tobytes() == labels_before
 
 
+@st.composite
+def stacked_cases(draw):
+    """A spec, parameters and a stack of U batches of B rows each."""
+    classes = draw(st.integers(2, 12))
+    input_dim = draw(st.integers(1, 12))
+    hidden = draw(st.one_of(st.just(()), st.lists(st.integers(1, 20), min_size=1, max_size=2)))
+    spec = ModelSpec("mlp" if hidden else "softmax_regression", input_dim, classes, tuple(hidden))
+    u, b = draw(st.integers(1, 8)), draw(st.integers(1, 64))
+    scale = draw(st.sampled_from([0.0, 1e-3, 0.05, 1.0, 10.0, 300.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.standard_normal(param_count(spec)) * scale
+    batch = Batch(rng.standard_normal((u, b, input_dim)), rng.integers(0, classes, (u, b)))
+    return spec, w, batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_cases())
+def test_stacked_slices_bit_equal_to_single_calls(case):
+    spec, w, batch = case
+    u, b = batch.labels.shape
+    w_before = w.tobytes()
+    features_before, labels_before = batch.features.tobytes(), batch.labels.tobytes()
+
+    values, grads = loss_and_gradient(spec, w, batch)
+    losses = loss(spec, w, batch)
+    assert len(batch) == u * b
+    assert values.shape == losses.shape == (u,) and grads.shape == (u, param_count(spec))
+    for k in range(u):
+        single = Batch(batch.features[k], batch.labels[k])
+        value, grad = loss_and_gradient(spec, w, single)
+        assert values[k] == value and losses[k] == value
+        assert grads[k].tobytes() == grad.tobytes()
+
+    assert grads.flags.owndata and grads.flags.c_contiguous
+    assert not np.shares_memory(grads, w) and not np.shares_memory(grads, batch.features)
+    assert w.tobytes() == w_before
+    assert batch.features.tobytes() == features_before
+    assert batch.labels.tobytes() == labels_before
+
+
+class TestBatch:
+    def test_stack_needs_one_label_per_row(self, rng):
+        with pytest.raises(ValueError):
+            Batch(rng.standard_normal((2, 3, 4)), np.zeros(3, dtype=int))
+        with pytest.raises(ValueError):
+            Batch(rng.standard_normal((2, 3, 4)), np.zeros((3, 2), dtype=int))
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError):
+            Batch(np.zeros((0, 3, 4)), np.zeros((0, 3), dtype=int))
+
+    def test_stacked_parameters_rejected(self, rng):
+        batch = Batch(rng.standard_normal((2, 3, 6)), rng.integers(0, 10, (2, 3)))
+        with pytest.raises(ValueError):
+            loss_and_gradient(SOFTMAX, np.zeros((2, param_count(SOFTMAX))), batch)
+
+
 class TestAccuracy:
     def test_zero_params_predict_class_zero(self, rng):
         batch = random_batch(rng, SOFTMAX, n=30)
