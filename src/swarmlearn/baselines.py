@@ -106,21 +106,25 @@ def fedavg_round(workers, w: np.ndarray, h: HyperParameters, spec, t: int):
     """One synchronized round: mean of all workers' mini-batch gradients at w.
 
     The workers' batches are stacked and their gradients taken in one kernel
-    call per batch length (one call when every pool holds at least B samples).
+    call per batch length: one call when every pool holds at least B samples.
     """
-    batches = []
-    for state in workers:
-        _, _, idx = state.round_draws(t, h, coefficients=False)
-        batches.append((state.train_features[idx], state.train_labels[idx]))
-    grads = np.empty((len(workers), w.shape[0]))
-    losses = np.empty(len(workers))
-    lengths = [len(labels) for _, labels in batches]
-    for n in sorted(set(lengths)):
-        members = [k for k, m in enumerate(lengths) if m == n]
-        stacked = Batch(
-            np.stack([batches[k][0] for k in members]), np.stack([batches[k][1] for k in members])
+    positions = [state.round_draws(t, h, coefficients=False)[2] for state in workers]
+    lengths = [len(idx) for idx in positions]
+    groups = [[k for k, n in enumerate(lengths) if n == length] for length in sorted(set(lengths))]
+
+    def gradients(members):
+        batch = Batch(
+            np.stack([workers[k].train_features[positions[k]] for k in members]),
+            np.stack([workers[k].train_labels[positions[k]] for k in members]),
         )
-        losses[members], grads[members] = loss_and_gradient(spec, w, stacked)
+        return loss_and_gradient(spec, w, batch)
+
+    if len(groups) == 1:
+        losses, grads = gradients(groups[0])
+    else:
+        losses, grads = np.empty(len(workers)), np.empty((len(workers), w.shape[0]))
+        for members in groups:
+            losses[members], grads[members] = gradients(members)
     w_new = w - h.alpha * grads.mean(axis=0)
     require_finite(w_new, f"fedavg consensus at round {t}")
     return w_new, losses

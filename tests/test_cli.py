@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 from pathlib import Path
 
 import pytest
@@ -288,15 +290,12 @@ class TestReport:
 
 def _set_total(text, variant, total):
     """The summary with ``variant``'s first total_vector_uplinks set to ``total``."""
-    lines = text.splitlines(keepends=True)
-    column = lines[0].rstrip("\r\n").split(",").index("total_vector_uplinks")
-    for i, line in enumerate(lines[1:], start=1):
-        fields = line.rstrip("\r\n").split(",")
-        if fields[0] == variant:
-            fields[column] = str(total)
-            lines[i] = ",".join(fields) + line[len(line.rstrip("\r\n")):]
-            break
-    return "".join(lines)
+    rows = list(csv.reader(io.StringIO(text)))
+    column = rows[0].index("total_vector_uplinks")
+    next(row for row in rows[1:] if row[0] == variant)[column] = str(total)
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
 
 
 class TestStaleTables:
