@@ -144,21 +144,23 @@ def _cross_entropy_terms(z: np.ndarray, labels: np.ndarray):
     return m + np.log(s) - rows[picks].reshape(s.shape), e, s, picks
 
 
-def _mean_over_rows(per_row: np.ndarray):
+def _mean_over_rows(per_row: np.ndarray) -> float | np.ndarray:
     """The mean of each slice's rows: a float, or a (U,) array for a stack.
     Sum then divide, the same arithmetic as ``np.mean``."""
     value = per_row.sum(axis=-1) / per_row.shape[-1]
     return value if value.ndim else float(value)
 
 
-def loss(spec: ModelSpec, w: np.ndarray, batch: Batch):
+def loss(spec: ModelSpec, w: np.ndarray, batch: Batch) -> float | np.ndarray:
     """Mean cross-entropy of the batch (of each slice of a stack), computed
     with the log-sum-exp trick."""
     z = logits(spec, w, batch.features)
     return _mean_over_rows(_cross_entropy_terms(z, batch.labels)[0])
 
 
-def loss_and_gradient(spec: ModelSpec, w: np.ndarray, batch: Batch):
+def loss_and_gradient(
+    spec: ModelSpec, w: np.ndarray, batch: Batch
+) -> tuple[float | np.ndarray, np.ndarray]:
     """``loss`` and its gradient, bit-identical to the plain formulas.
 
     For a stack of U batches: U losses and a (U, D) gradient, slice u
