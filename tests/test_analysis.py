@@ -1,4 +1,6 @@
+import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,9 +11,22 @@ from swarmlearn import analysis
 from swarmlearn.attacks import AttackSpec
 from swarmlearn.core import DOMAIN_DIAG, HyperParameters, derived_rng
 from swarmlearn.data import label_histogram, synthetic_blobs
-from swarmlearn.experiment import DataConfig, build_setup, make_workers, population_batch
+from swarmlearn.experiment import (
+    DataConfig,
+    build_setup,
+    initial_w_for,
+    make_workers,
+    population_batch,
+)
 from swarmlearn.model import ModelSpec, loss, param_count
-from swarmlearn.swarm import ProtocolWiring, StepInfo, initial_ps, run_round
+from swarmlearn.swarm import (
+    ProtocolWiring,
+    StepInfo,
+    initial_ps,
+    run_round,
+    score_and_update_best,
+    worker_step,
+)
 
 SMALL = DataConfig(
     classes=4, per_class=250, dim=5, separation=6.0, test_per_class=25,
@@ -507,3 +522,81 @@ class TestDivergenceBound:
         short = replace(lip, l_classes=lip.l_classes[:4])
         with pytest.raises(ValueError, match="class"):
             analysis.divergence_bound_check(trace, hists, pop_hist, short, DIAG_HYPER)
+
+
+def oracle_genie_aligned(workers, genie, spec, h, rounds, population, num_classes):
+    """The genie-aligned run as the package had it before it drove its workers
+    through ``run_round``: a loop of ``worker_step`` and
+    ``score_and_update_best`` per worker, and one ``np.linalg.norm`` per
+    worker and distance."""
+    per_class = analysis.class_batches(population, num_classes)
+    nw = len(workers)
+    w_dist = np.zeros((nw, rounds + 1))
+    v_dist = np.zeros((nw, rounds + 1))
+    coeffs = np.zeros((nw, rounds, 3))
+    f_max = np.zeros(rounds)
+    snapshots = []
+
+    def record(t, states, g):
+        for k, st in enumerate(states):
+            w_dist[k, t] = float(np.linalg.norm(st.w - g.w))
+            v_dist[k, t] = float(np.linalg.norm(st.v - g.v))
+
+    states = list(workers)
+    record(0, states, genie)
+    every = max(1, rounds // 8)
+    for t in range(rounds):
+        f_max[t] = analysis.f_max_at(spec, genie.w, per_class)
+        if t % every == 0:
+            snapshots.append(genie.w.copy())
+            snapshots.append(states[0].w.copy())
+        new_states = []
+        for k, st in enumerate(states):
+            moved, info = worker_step(st, genie.w, h, spec, t, collect_vectors=False)
+            moved, _ = score_and_update_best(moved, spec)
+            coeffs[k, t] = (info.c0, info.c1, info.c2)
+            new_states.append(moved)
+        genie = analysis.genie_step(genie, h, spec, population, t)
+        states = new_states
+        record(t + 1, states, genie)
+    trace = {"w_dist": w_dist, "v_dist": v_dist, "coeffs": coeffs, "f_max": f_max,
+             "envelope": np.array(snapshots)}
+    return states, genie, trace
+
+
+@lru_cache(maxsize=None)
+def aligned_setup(seed, num_workers, init_mode):
+    h = HyperParameters(num_workers=num_workers)
+    return build_setup(DIAG_CFG, "softmax_regression", (), h, seed, init_mode)
+
+
+@pytest.mark.parametrize(
+    "seed, shape, inertia, init_mode, global_train",
+    list(itertools.product(
+        (1, 2), ((3, 300, 50), (5, 10, 17)), ("constant", "linear"),
+        ("shared", "per_worker"), (False, True),
+    )),
+)
+def test_genie_aligned_equals_per_worker_oracle(seed, shape, inertia, init_mode, global_train):
+    num_workers, batch_size, rounds = shape
+    h = HyperParameters(
+        c0=0.5, delta_c1=0.5, delta_c2=0.5, alpha=0.005, rounds=rounds,
+        num_workers=num_workers, batch_size=batch_size, inertia_mode=inertia,
+    )
+    setup = aligned_setup(seed, num_workers, init_mode)
+    population = population_batch(setup)
+    runs = []
+    for run in (analysis.run_genie_aligned, oracle_genie_aligned):
+        workers = make_workers(setup, h, global_train, "shared")
+        genie = analysis.GenieState(initial_w_for(setup, 0), np.zeros(setup.init_w.shape[-1]))
+        runs.append(run(workers, genie, setup.spec, h, rounds, population, DIAG_CFG.classes))
+    (states, genie, trace), (want_states, want_genie, want_trace) = runs
+    for name, want in want_trace.items():
+        assert getattr(trace, name).tobytes() == want.tobytes(), name
+    assert genie.w.tobytes() == want_genie.w.tobytes()
+    assert genie.v.tobytes() == want_genie.v.tobytes()
+    assert [s.worker_id for s in states] == [s.worker_id for s in want_states]
+    for got, want in zip(states, want_states):
+        for name in ("w", "v", "w_p", "f_p"):
+            assert np.asarray(getattr(got, name)).tobytes() == \
+                np.asarray(getattr(want, name)).tobytes(), (got.worker_id, name)
