@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attacks import AttackSpec
 from .core import HyperParameters, inertia_schedule, require_finite
 from .data import emd
 from .model import Batch, ModelSpec, gradient, param_count
-from .swarm import StepInfo
+from .swarm import ProtocolWiring, PsState, StepInfo, run_round
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -39,18 +40,6 @@ def _cosines(v: np.ndarray, neg_grad: np.ndarray, gnorm: np.ndarray):
     vnorm = row_norms(v)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return row_dots(v, neg_grad) / (vnorm * gnorm), vnorm / gnorm, vnorm
-
-
-def cosine_step(v: np.ndarray, grad: np.ndarray) -> tuple[float, float, bool]:
-    """Cosine of the angle between v and the descent direction, plus the
-    norm ratio ||v|| / ||grad||. Zero-velocity samples come back flagged."""
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm == 0.0:
-        raise ValueError("gradient norm is zero; sample must be skipped")
-    cos, ratio, vnorm = _cosines(v[None], -grad[None], np.array([gnorm]))
-    if vnorm[0] == 0.0:
-        return 0.0, 0.0, True
-    return float(cos[0]), float(ratio[0]), False
 
 
 class _Extrema:
@@ -349,10 +338,8 @@ class AlignedTrace:
 
     w_dist: np.ndarray       # (U, T+1)
     v_dist: np.ndarray       # (U, T+1)
-    rel_divergence: np.ndarray
     coeffs: np.ndarray       # (U, T, 3) realized (c0, c1, c2)
     f_max: np.ndarray        # (T,) at the genie position entering round t
-    genie_norm: np.ndarray   # (T+1,)
     envelope: np.ndarray     # trajectory snapshots for Lipschitz probing
 
 
@@ -365,32 +352,26 @@ def run_genie_aligned(
     population: Batch,
     num_classes: int,
 ):
-    """Run workers with the genie as their global-best attractor.
+    """Run protocol rounds with the genie pinned as the global best.
 
-    Both the stepped workers and the distance trace are returned; the trace
-    feeds the per-round divergence bound check.
+    No claim beats a global best of -inf, so the server never invites an
+    upload and every worker is pulled toward the genie. The stepped workers
+    (in worker-id order), the final genie and the distance trace are
+    returned; the trace feeds the per-round divergence bound check.
     """
-    from .swarm import score_and_update_best, worker_step
-
     per_class = class_batches(population, num_classes)
-    nw = len(workers)
-    w_dist = np.zeros((nw, rounds + 1))
-    v_dist = np.zeros((nw, rounds + 1))
-    rel = np.zeros((nw, rounds + 1))
-    coeffs = np.zeros((nw, rounds, 3))
+    wiring = ProtocolWiring(h, spec, None, False, AttackSpec())
+    w_dist = np.zeros((len(workers), rounds + 1))
+    v_dist = np.zeros((len(workers), rounds + 1))
+    coeffs = np.zeros((len(workers), rounds, 3))
     f_max = np.zeros(rounds)
-    genie_norm = np.zeros(rounds + 1)
     snapshots = []
 
     def _record(t, states, g):
-        gnorm = float(np.linalg.norm(g.w))
-        genie_norm[t] = gnorm
-        for k, st in enumerate(states):
-            w_dist[k, t] = float(np.linalg.norm(st.w - g.w))
-            v_dist[k, t] = float(np.linalg.norm(st.v - g.v))
-            rel[k, t] = w_dist[k, t] / gnorm if gnorm else math.nan
+        w_dist[:, t] = row_norms(np.stack([st.w for st in states]) - g.w)
+        v_dist[:, t] = row_norms(np.stack([st.v for st in states]) - g.v)
 
-    states = list(workers)
+    states = sorted(workers, key=lambda st: st.worker_id)
     _record(0, states, genie)
     every = max(1, rounds // 8)
     for t in range(rounds):
@@ -398,25 +379,12 @@ def run_genie_aligned(
         if t % every == 0:
             snapshots.append(genie.w.copy())
             snapshots.append(states[0].w.copy())
-        new_states = []
-        for k, st in enumerate(states):
-            moved, info = worker_step(st, genie.w, h, spec, t, collect_vectors=False)
-            moved, _ = score_and_update_best(moved, spec)
-            coeffs[k, t] = (info.c0, info.c1, info.c2)
-            new_states.append(moved)
+        states, _, outcome = run_round(states, PsState(genie.w, -math.inf), wiring, t)
+        coeffs[:, t] = [(info.c0, info.c1, info.c2) for info in outcome.step_infos]
         genie = genie_step(genie, h, spec, population, t)
-        states = new_states
         _record(t + 1, states, genie)
 
-    trace = AlignedTrace(
-        w_dist=w_dist,
-        v_dist=v_dist,
-        rel_divergence=rel,
-        coeffs=coeffs,
-        f_max=f_max,
-        genie_norm=genie_norm,
-        envelope=np.array(snapshots),
-    )
+    trace = AlignedTrace(w_dist, v_dist, coeffs, f_max, np.array(snapshots))
     return states, genie, trace
 
 

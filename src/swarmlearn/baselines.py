@@ -16,6 +16,7 @@ from .attacks import AttackSpec
 from .core import HyperParameters, require_finite
 # Bound here only for perfbench's span hooks; nothing in this module calls them.
 from .core import derived_rng, draw_batch_indices  # noqa: F401
+from .model import loss  # noqa: F401
 from .experiment import (
     ExperimentSetup,
     RoundRecord,
@@ -23,7 +24,7 @@ from .experiment import (
     make_workers,
     population_batch,
 )
-from .model import Batch, accuracy, loss, loss_and_gradient
+from .model import Batch, accuracy, loss_and_gradient
 from .swarm import ProtocolWiring, RoundOutcome, initial_ps, run_round
 
 
@@ -97,7 +98,6 @@ class RunResult:
     seed: int
     records: list[RoundRecord]
     cosine_stats: analysis.CosineStats | None
-    min_observed_loss: float
     partition_digest: str
     init_digest: str
 
@@ -152,7 +152,7 @@ def run_variant(
     if row.swarm:
         rounds = _swarm_rounds(row, setup, h, attack, verification, diag.cosine_stats)
     else:
-        rounds = _fedavg_rounds(row, setup, h, diag.cosine_stats)
+        rounds = _fedavg_rounds(row, setup, h)
     # FedAvg takes no swarm steps, so it has no alignment statistics.
     stats = analysis.CosineStats(h) if diag.cosine_stats and row.swarm else None
     genie = population = None
@@ -161,16 +161,14 @@ def run_variant(
         genie = analysis.GenieState(initial_w_for(setup, 0), np.zeros(setup.init_w.shape[-1]))
 
     records = []
-    min_loss = math.inf
     tested, test_acc = None, math.nan   # a swarm round without a broadcast keeps its w_g
-    for t, (outcome, w_test, worker_ws, observed_loss) in enumerate(rounds):
+    for t, (outcome, w_test, worker_ws) in enumerate(rounds):
         diag_row: dict[str, float] = {}
         if stats is not None:
             diag_row.update(stats.consume_round(outcome.step_infos))
         if genie is not None:
             genie = analysis.genie_step(genie, h, setup.spec, population, t)
             diag_row.update(_divergence_row(worker_ws, genie))
-        min_loss = min(min_loss, observed_loss)
         if w_test is not tested:
             tested, test_acc = w_test, accuracy(setup.spec, w_test, setup.test)
         records.append(
@@ -191,7 +189,7 @@ def run_variant(
             )
         )
     return RunResult(
-        row.name, setup.seed, records, stats, min_loss, setup.partition_digest, setup.init_digest
+        row.name, setup.seed, records, stats, setup.partition_digest, setup.init_digest
     )
 
 
@@ -204,8 +202,8 @@ def _divergence_row(worker_ws, genie):
 
 
 def _swarm_rounds(row: Variant, setup, h, attack, verification, collect_vectors):
-    """Swarm protocol rounds, each as (outcome, model to test, worker models,
-    observed loss); the model to test is the global best, None until one exists."""
+    """Swarm protocol rounds, each as (outcome, model to test, worker models);
+    the model to test is the global best, None until one exists."""
     workers = make_workers(setup, h, row.global_train, row.score)
     if attack.active:
         workers = [
@@ -222,26 +220,19 @@ def _swarm_rounds(row: Variant, setup, h, attack, verification, collect_vectors)
     ps = initial_ps()
     for t in range(h.rounds):
         workers, ps, outcome = run_round(workers, ps, wiring, t, collect_vectors=collect_vectors)
-        observed = outcome.f_g if math.isfinite(outcome.f_g) else math.inf
-        yield outcome, ps.w_g, [w.w for w in workers], observed
+        yield outcome, ps.w_g, [w.w for w in workers]
 
 
-def _fedavg_rounds(row: Variant, setup, h, observe: bool):
+def _fedavg_rounds(row: Variant, setup, h):
     """FedAvg rounds in the shape of ``_swarm_rounds``: every worker uplinks
     its gradient and the server broadcasts the new consensus, which all
-    workers then hold. With ``observe`` the consensus is scored on the shared
-    scoring set, where there is one; otherwise the observed loss is inf."""
+    workers then hold."""
     workers = make_workers(setup, h, row.global_train, row.score)
-    shared = setup.shared
-    score_batch = (
-        shared.score.as_batch() if observe and shared is not None and len(shared.score) else None
-    )
     w = initial_w_for(setup, 0)
     for t in range(h.rounds):
         w, losses = fedavg_round(workers, w, h, setup.spec, t)
         outcome = RoundOutcome(
             f_g=math.nan, batch_losses=losses, scalar_uplinks=0, vector_uplinks=len(workers),
-            vector_broadcasts=1, detections=0, step_infos=None,
+            vector_broadcasts=1, detections=0, step_infos=(),
         )
-        observed = loss(setup.spec, w, score_batch) if score_batch is not None else math.inf
-        yield outcome, w, [w] * len(workers), observed
+        yield outcome, w, [w] * len(workers)

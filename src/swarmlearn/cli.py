@@ -282,12 +282,11 @@ def _seed_diagnostics(cfg: ExperimentConfig, setup: ExperimentSetup) -> tuple[fl
     return lip.l_global, loss(setup.spec, initial_w_for(setup, 0), population)
 
 
-def _diagnostics_row(
-    cfg: ExperimentConfig, result: RunResult, lipschitz: float, f0: float, f_star: float
-) -> dict:
+def _diagnostics_row(cfg: ExperimentConfig, result: RunResult, lipschitz: float, f0: float) -> dict:
     stats = result.cosine_stats
     phi = analysis.phi_e(cfg.hyper, stats, lipschitz)
     phi_deg = cfg.hyper.alpha - 2 * lipschitz * cfg.hyper.alpha ** 2
+    f_star = 0.0   # the certified floor: a cross-entropy is never negative
     bound = analysis.convergence_bound(f0, f_star, cfg.hyper.rounds, phi)
     return {
         "variant": result.variant,
@@ -348,14 +347,17 @@ def run_experiment(config_path: str, output_dir: str | None = None,
             setups[seed] = build_setup(
                 cfg.data, cfg.model_kind, cfg.hidden_dims, cfg.hyper, seed, cfg.init_mode
             )
-        runs_dir.mkdir(parents=True, exist_ok=True)
-        # Files of an earlier run would sit beside this run's as if its own.
-        for stale in ("summary.csv", "diagnostics.csv", "communication.csv"):
-            (out / stale).unlink(missing_ok=True)
-        for path in runs_dir.glob("*.csv"):
-            variant, _, seed = path.stem.rpartition("_")
-            if variant in VARIANTS and seed.isdigit():
-                path.unlink()
+        try:
+            runs_dir.mkdir(parents=True, exist_ok=True)
+            # Files of an earlier run would sit beside this run's as if its own.
+            for stale in ("summary.csv", "diagnostics.csv", "communication.csv"):
+                (out / stale).unlink(missing_ok=True)
+            for path in runs_dir.glob("*.csv"):
+                variant, _, seed = path.stem.rpartition("_")
+                if variant in VARIANTS and seed.isdigit():
+                    path.unlink()
+        except OSError as exc:
+            raise ConfigError(f"output directory {out} is unusable: {exc}") from exc
         for variant in cfg.variants:
             for seed in seeds:
                 current = (variant, seed)
@@ -368,6 +370,9 @@ def run_experiment(config_path: str, output_dir: str | None = None,
                 results.append(result)
                 print(f"ran {variant} seed {seed}: "
                       f"final accuracy {result.records[-1].test_accuracy:.4f}")
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         infeasible = (current[0] == "data setup" and isinstance(exc, ValueError)
                       and not isinstance(exc, NonFiniteError))
@@ -378,13 +383,11 @@ def run_experiment(config_path: str, output_dir: str | None = None,
     _write_table(out / "summary.csv", SUMMARY_COLUMNS, [summarize(r) for r in results])
 
     if cfg.diagnostics.cosine_stats:
-        observed = [r.min_observed_loss for r in results if math.isfinite(r.min_observed_loss)]
-        f_star = min(observed) if observed else math.nan
         diagnosed = [r for r in results if r.cosine_stats is not None]
         per_seed = {
             seed: _seed_diagnostics(cfg, setups[seed]) for seed in {r.seed for r in diagnosed}
         }
-        rows = [_diagnostics_row(cfg, r, *per_seed[r.seed], f_star) for r in diagnosed]
+        rows = [_diagnostics_row(cfg, r, *per_seed[r.seed]) for r in diagnosed]
         _write_table(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS, rows)
 
     print(f"wrote {out / 'summary.csv'}")

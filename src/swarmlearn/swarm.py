@@ -95,7 +95,7 @@ class RoundOutcome:
     vector_uplinks: int
     vector_broadcasts: int
     detections: int
-    step_infos: tuple[StepInfo, ...] | None
+    step_infos: tuple[StepInfo, ...]
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def run_round(
         vector_uplinks=vector_uplinks,
         vector_broadcasts=1 if w_g is not ps.w_g else 0,  # every upload is a fresh array
         detections=len(blacklist) - len(ps.blacklist),
-        step_infos=tuple(infos) if collect_vectors else None,
+        step_infos=tuple(infos),
     )
     return new_workers, PsState(w_g, f_g, blacklist), outcome
 

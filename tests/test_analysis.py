@@ -190,31 +190,46 @@ def test_consume_round_equals_per_worker_oracle(rounds, alpha):
             assert same_float(a, b)
 
 
+def one_step_round(v, grad):
+    """``consume_round`` over one worker whose velocity entering the step is
+    ``v``; its personal and global pulls are zero."""
+    w = np.zeros_like(v)
+    info = StepInfo(
+        worker_id=0, c0=1.0, c1=0.0, c2=0.0, batch_loss=0.0, grad_sq=float(grad @ grad),
+        w_pre=w, w_post=w, v_pre=v, v_post=w, w_p_pre=w - v, w_g_used=None, grad=grad,
+    )
+    stats = analysis.CosineStats(HyperParameters())
+    return stats, stats.consume_round((info,))
+
+
 class TestCosineStep:
     def test_perfect_descent_alignment(self):
         g = np.array([1.0, -2.0])
-        cos, ratio, flagged = analysis.cosine_step(-g, g)
-        assert cos == pytest.approx(1.0, abs=1e-15)
-        assert ratio == pytest.approx(1.0, abs=1e-15)
-        assert not flagged
+        stats, row = one_step_round(-g, g)
+        assert row["cos_min"] == pytest.approx(1.0, abs=1e-15)
+        assert row["ratio_min"] == pytest.approx(1.0, abs=1e-15)
+        assert stats.zero_velocity == 2  # only the zero pulls
 
     def test_orthogonal(self):
-        cos, ratio, _ = analysis.cosine_step(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
-        assert cos == 0.0
+        _, row = one_step_round(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
+        assert row["cos_min"] == 0.0
 
     def test_anti_alignment_with_ratio(self):
         g = np.array([0.3, -0.4])
-        cos, ratio, _ = analysis.cosine_step(2 * g, g)
-        assert cos == pytest.approx(-1.0, abs=1e-15)
-        assert ratio == pytest.approx(2.0, abs=1e-15)
+        _, row = one_step_round(2 * g, g)
+        assert row["cos_min"] == pytest.approx(-1.0, abs=1e-15)
+        assert row["ratio_min"] == pytest.approx(2.0, abs=1e-15)
 
     def test_zero_velocity_flagged(self):
-        cos, ratio, flagged = analysis.cosine_step(np.zeros(2), np.array([1.0, 0.0]))
-        assert flagged and cos == 0.0 and ratio == 0.0
+        stats, row = one_step_round(np.zeros(2), np.array([1.0, 0.0]))
+        assert stats.samples == 1 and stats.zero_velocity == 3
+        assert math.isnan(row["cos_min"]) and math.isnan(row["ratio_min"])
+        assert stats.q.count == 0
 
-    def test_zero_gradient_errors(self):
-        with pytest.raises(ValueError):
-            analysis.cosine_step(np.ones(2), np.zeros(2))
+    def test_zero_gradient_skipped(self):
+        stats, row = one_step_round(np.ones(2), np.zeros(2))
+        assert stats.samples == 0 and stats.zero_grad == 1
+        assert math.isnan(row["cos_min"]) and math.isnan(row["ratio_min"])
 
 
 class TestPhiE:

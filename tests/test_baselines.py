@@ -375,33 +375,3 @@ class TestRunVariant:
         # runs fine end to end; fedavg starts from worker 0's parameters
         run_variant("cbdsl_full", setup, h)
         run_variant("fedavg", setup, h)
-
-
-class TestMinObservedLoss:
-    def test_swarm_run_is_the_least_finite_f_g(self):
-        setup, h = small_setup(seed=11)
-        result = run_variant("cbdsl_full", setup, h)
-        assert result.min_observed_loss == min(r.f_g for r in result.records)
-        # every claim screened: f_g never turns finite, nothing is observed
-        attack = AttackSpec(frozenset(range(h.num_workers)), "fake_loss_garbage")
-        screened = run_variant("cbdsl_full", setup, h, attack=attack)
-        assert all(r.f_g == math.inf for r in screened.records)
-        assert screened.min_observed_loss == math.inf
-
-    def test_fedavg_scores_the_consensus_on_the_shared_set(self):
-        setup, h = small_setup(seed=12)
-        result = run_variant("fedavg", setup, h, diag=DiagnosticsFlags(cosine_stats=True))
-        # oracle: replay the consensus and score it after every round
-        workers = make_workers(setup, h, False, "none")
-        w = initial_w_for(setup, 0)
-        score_batch = setup.shared.score.as_batch()
-        expected = math.inf
-        for t in range(h.rounds):
-            w, _ = fedavg_round(workers, w, h, setup.spec, t)
-            expected = min(expected, loss(setup.spec, w, score_batch))
-        assert math.isfinite(expected)
-        assert result.min_observed_loss == expected
-
-    def test_fedavg_without_cosine_stats_observes_nothing(self):
-        setup, h = small_setup(seed=12)
-        assert run_variant("fedavg", setup, h).min_observed_loss == math.inf

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import hashlib
 import io
@@ -36,6 +37,25 @@ batch_size = 5
 def write_config(tmp_path, text=None, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text if text is not None else BASE_CONFIG.format(out=tmp_path / "out"))
+    return path
+
+
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
+
+
+def desk_config(tmp_path, name, **sections):
+    """configs/desk.ini at 20 rounds, seed 1, cosine statistics on, writing
+    to ``tmp_path / name``; ``sections`` maps a section to the keys it overrides."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(DESK)
+    parser["experiment"].update(seeds="1", output_dir=str(tmp_path / name))
+    parser["hyper"]["rounds"] = "20"
+    parser["diagnostics"]["cosine_stats"] = "on"
+    for section, keys in sections.items():
+        parser[section].update(keys)
+    path = tmp_path / f"{name}.ini"
+    with open(path, "w", encoding="utf-8") as f:
+        parser.write(f)
     return path
 
 
@@ -338,6 +358,59 @@ class TestStaleTables:
         assert sorted(p.name for p in (out / "runs").iterdir()) == [
             "cbdsl_full_1.csv", "cbdsl_full_2.csv", "fedavg_best.csv", "notes.txt",
         ]
+
+
+class TestDiagnosticsTable:
+    def test_a_pairs_row_does_not_depend_on_the_other_pairs(self, tmp_path):
+        rows = {}
+        for name, variants in (("alone", "cbdsl_full"), ("beside", "cbdsl_plain, cbdsl_full")):
+            config = desk_config(tmp_path, name, experiment={"variants": variants})
+            assert run_experiment(str(config)) == 0
+            lines = (tmp_path / name / "diagnostics.csv").read_text().splitlines()
+            rows[name] = [line for line in lines if line.startswith("cbdsl_full,")]
+        assert len(rows["alone"]) == 1
+        assert rows["alone"] == rows["beside"]
+
+    def test_trusted_forged_claims_do_not_set_f_star(self, tmp_path):
+        # fake_loss_garbage claims a negative loss; with verification off the
+        # server trusts it, yet f_star stays the cross-entropy's floor
+        config = desk_config(
+            tmp_path, "out",
+            experiment={"variants": "cbdsl_plain, cbdsl_gsc, cbdsl_full"},
+            attack={"strategy": "fake_loss_garbage", "attackers": "0, 3", "verification": "off"},
+        )
+        assert run_experiment(str(config)) == 0
+        with open(tmp_path / "out" / "summary.csv", newline="") as f:
+            assert min(float(r["final_f_g"]) for r in csv.DictReader(f)) < 0.0
+        with open(tmp_path / "out" / "diagnostics.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row["f_star"]) == 0.0
+            assert float(row["bound"]) == float(row["f0"]) / (20 * float(row["phi_e"]))
+
+
+class TestOutputDirectory:
+    def test_a_regular_file_is_a_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert run_experiment(str(write_config(tmp_path)), output_dir=str(taken)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output directory") and str(taken) in err
+        assert taken.read_text() == "not a directory"
+
+    def test_a_summary_that_is_a_directory_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        import swarmlearn.cli as cli_mod
+
+        out = tmp_path / "out"
+        (out / "summary.csv").mkdir(parents=True)
+        ran = []
+        monkeypatch.setattr(cli_mod, "run_variant", lambda *args, **kwargs: ran.append(args))
+        assert run_experiment(str(write_config(tmp_path))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output directory") and str(out) in err
+        assert not ran
+        assert (out / "summary.csv").is_dir()
 
 
 class TestMain:

@@ -5,11 +5,15 @@ same way; these digests can. They hold for one numpy/BLAS build, so a
 digest that changes on purpose is updated together with its reason.
 """
 import configparser
+import ctypes
 import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from swarmlearn.cli import run_experiment
 
@@ -83,10 +87,52 @@ def csv_digests(parser: configparser.ConfigParser, tmp_path: Path) -> dict[str, 
     return tree_digests(out)
 
 
+# The CSV bytes depend on the machine code numpy and OpenBLAS pick at run
+# time (BLAS kernels, numpy's SIMD exp/log), not only on code and config.
+# This is the arithmetic the digests below were recorded under.
+RECORDED_ARITHMETIC = (
+    "numpy 2.4.6; dispatch X86_V3 X86_V4 AVX512_ICL AVX512_SPR; "
+    "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64; "
+    "core SkylakeX"
+)
+
+
+def _openblas_string(name: str) -> str:
+    """``get_<name>`` of the OpenBLAS bundled with numpy, or "unknown"."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in (f"scipy_openblas_get_{name}64_", f"openblas_get_{name}64_",
+                       f"openblas_get_{name}"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
+def arithmetic_fingerprint() -> str:
+    """numpy's version and enabled SIMD dispatch targets, the OpenBLAS config
+    string and the core it picked."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        dispatch = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
+    except ImportError:
+        dispatch = "unknown"
+    return (f"numpy {np.__version__}; dispatch {dispatch}; "
+            f"{_openblas_string('config')}; core {_openblas_string('corename')}")
+
+
 def assert_digests(got: dict[str, str], expected: dict[str, str]):
     differing = sorted(name for name in expected.keys() | got.keys()
                        if got.get(name) != expected.get(name))
-    assert not differing, f"CSV bytes differ from the golden digests: {differing}"
+    assert not differing, (
+        f"CSV bytes differ from the golden digests: {differing}\n"
+        f"  digests recorded under: {RECORDED_ARITHMETIC}\n"
+        f"  arithmetic in use:      {arithmetic_fingerprint()}"
+    )
 
 
 DESK_DIGESTS = {
@@ -104,7 +150,7 @@ DESK_DIGESTS = {
 }
 
 AUDIT_DIGESTS = {
-    "diagnostics.csv": "b92bc42551b2357dc76e6867ebe165a27ce6cd61e7d429d7c7a2a8cd46c4551f",
+    "diagnostics.csv": "1f3b01ffd1741791db1c2352fb5d8e60c2832b10bea874786335b3cd7b3016fa",
     "runs/cbdsl_full_1.csv": "556224517d4844329bea6400f22b69e77b550c197757746da56b3557a05f4966",
     "runs/cbdsl_full_2.csv": "60d75f181d9cd79db60a5c8e1d98cace9c991b4d7329bec3a497de2920031b94",
     "runs/cbdsl_gsc_1.csv": "dd6aa1e4694218d6f06cc4f68dd7e78032368880ebbe68343a4bfe6971c93470",
@@ -113,7 +159,7 @@ AUDIT_DIGESTS = {
 }
 
 FEDAVG_DIAG_DIGESTS = {
-    "diagnostics.csv": "128b3a1c18cfd2eed4d3918069a2e9625ae3e197637613b57869dbfdf212597f",
+    "diagnostics.csv": "1ba03bf5ef1822387ffcd970cb8c701c5c0f14a34778a3598417b3da293de668",
     "runs/cbdsl_full_1.csv": "c16bc64a83d21957fa8299f990e862dda09b2585adde92b357082775dd511fd8",
     "runs/cbdsl_full_2.csv": "d03ab4efae809bac1891bc60d6ab0ddbf46c74d6c2eb4605ce081951bc477a31",
     "runs/fedavg_1.csv": "816e257ee7b6816edc6cff195d7fe4ff157183e06d201dc63b7d6fc545a5d2d9",
@@ -146,6 +192,15 @@ UNVERIFIED_SCALED_DIGESTS = {
     "runs/cbdsl_plain_2.csv": "aca59e9bd2c61f4b8ff1fbcd5d5dd5fa3673a20e8be3335715e6daa23b983ddd",
     "summary.csv": "2618c1c65a4f4c39de0cf4fc197eaedb4a2c008bbe0088f29c7102188b2a9d35",
 }
+
+
+def test_a_mismatch_names_both_arithmetic_fingerprints():
+    assert arithmetic_fingerprint() == arithmetic_fingerprint()
+    with pytest.raises(AssertionError) as failure:
+        assert_digests({"summary.csv": "0"}, {"summary.csv": "1"})
+    message = str(failure.value)
+    assert "['summary.csv']" in message
+    assert RECORDED_ARITHMETIC in message and arithmetic_fingerprint() in message
 
 
 def test_desk_digests(tmp_path):
