@@ -24,9 +24,9 @@ from swarmlearn.swarm import (
     StepInfo,
     initial_ps,
     run_round,
-    score_and_update_best,
-    worker_step,
 )
+
+import swarm_oracle
 
 SMALL = DataConfig(
     classes=4, per_class=250, dim=5, separation=6.0, test_per_class=25,
@@ -567,8 +567,8 @@ def oracle_genie_aligned(workers, genie, spec, h, rounds, population, num_classe
             snapshots.append(states[0].w.copy())
         new_states = []
         for k, st in enumerate(states):
-            moved, info = worker_step(st, genie.w, h, spec, t, collect_vectors=False)
-            moved, _ = score_and_update_best(moved, spec)
+            moved, info = swarm_oracle.worker_step(st, genie.w, h, spec, t)
+            moved, _ = swarm_oracle.score_and_update_best(moved, spec)
             coeffs[k, t] = (info.c0, info.c1, info.c2)
             new_states.append(moved)
         genie = analysis.genie_step(genie, h, spec, population, t)

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from swarmlearn.swarm import (
     ProtocolWiring,
     PsState,
     ScalarReport,
+    StepInfo,
     WorkerState,
     hybrid_update,
     initial_ps,
@@ -25,6 +27,8 @@ from swarmlearn.swarm import (
     verify_upload,
     worker_step,
 )
+
+import swarm_oracle
 
 SMALL = DataConfig(
     classes=4, per_class=250, dim=5, separation=6.0, test_per_class=25,
@@ -377,3 +381,94 @@ class TestRoundInvariants:
             assert r.f_g == math.inf
             assert math.isnan(r.test_accuracy)
             assert r.vector_broadcasts == 0
+
+
+def exact(value) -> bytes | None:
+    """The bytes of a float or vector, None for an absent vector."""
+    return None if value is None else np.asarray(value, dtype=np.float64).tobytes()
+
+
+def assert_same_round(got, want):
+    """Two rounds' (workers, server state, outcome) are equal byte for byte."""
+    (workers, ps, outcome), (want_workers, want_ps, want_outcome) = got, want
+    for name in ("scalar_uplinks", "vector_uplinks", "vector_broadcasts", "detections"):
+        assert getattr(outcome, name) == getattr(want_outcome, name), name
+    assert exact(outcome.f_g) == exact(want_outcome.f_g)
+    assert outcome.batch_losses.tobytes() == want_outcome.batch_losses.tobytes()
+    assert len(outcome.step_infos) == len(want_outcome.step_infos)
+    for info, want_info in zip(outcome.step_infos, want_outcome.step_infos):
+        assert info.worker_id == want_info.worker_id
+        for field in fields(StepInfo)[1:]:
+            got_value, want_value = getattr(info, field.name), getattr(want_info, field.name)
+            assert exact(got_value) == exact(want_value), (info.worker_id, field.name)
+    assert ps.blacklist == want_ps.blacklist
+    assert exact(ps.f_g) == exact(want_ps.f_g)
+    assert exact(ps.w_g) == exact(want_ps.w_g)
+    got_by_id = sorted(workers, key=lambda s: s.worker_id)
+    want_by_id = sorted(want_workers, key=lambda s: s.worker_id)
+    assert [s.worker_id for s in got_by_id] == [s.worker_id for s in want_by_id]
+    for state, want_state in zip(got_by_id, want_by_id):
+        assert state.is_byzantine == want_state.is_byzantine
+        for name in ("w", "v", "w_p", "f_p"):
+            assert exact(getattr(state, name)) == exact(getattr(want_state, name)), \
+                (state.worker_id, name)
+
+
+@lru_cache(maxsize=None)
+def oracle_setup(seed, num_workers, init_mode, kind):
+    h = HyperParameters(num_workers=num_workers, batch_size=5)
+    hidden = (6,) if kind == "mlp" else ()
+    return build_setup(ROOMY, kind, hidden, h, seed, init_mode)
+
+
+engine_configs = st.fixed_dictionaries({
+    "seed": st.integers(0, 3),
+    "num_workers": st.integers(1, 12),
+    "rounds": st.integers(1, 6),
+    "batch_size": st.sampled_from((1, 5, 12)),
+    "kind": st.sampled_from(("softmax_regression", "mlp")),
+    "strategy": st.sampled_from(STRATEGIES),
+    "attackers": st.sets(st.integers(0, 11), max_size=4),
+    "verification": st.booleans(),
+    "inertia_mode": st.sampled_from(("constant", "linear")),
+    "init_mode": st.sampled_from(("shared", "per_worker")),
+    "global_train": st.booleans(),
+    # workers score on the shared set with the server holding it too, on
+    # their own partitions (nothing for the server to verify against), or on
+    # the shared set with no scoring set at the server
+    "scoring": st.sampled_from(("shared", "local", "unscored_server")),
+    "collect_vectors": st.booleans(),
+    "order": st.randoms(use_true_random=False),
+})
+
+
+class TestEngineEqualsOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(engine_configs)
+    def test_engine_equals_per_worker_oracle(self, cfg):
+        h = HyperParameters(
+            rounds=cfg["rounds"], num_workers=cfg["num_workers"], batch_size=cfg["batch_size"],
+            c0=0.7, inertia_mode=cfg["inertia_mode"],
+        )
+        setup = oracle_setup(cfg["seed"], h.num_workers, cfg["init_mode"], cfg["kind"])
+        attackers = frozenset(i for i in cfg["attackers"] if i < h.num_workers)
+        attack = AttackSpec(attackers, cfg["strategy"])
+        score_mode = "local" if cfg["scoring"] == "local" else "shared"
+        workers = [
+            replace(w, is_byzantine=w.worker_id in attackers)
+            for w in make_workers(setup, h, cfg["global_train"], score_mode)
+        ]
+        server_set = setup.shared.score.as_batch() if cfg["scoring"] == "shared" else None
+        wiring = ProtocolWiring(h, setup.spec, server_set, cfg["verification"], attack)
+        engine = (workers, initial_ps())
+        oracle = (workers, initial_ps())
+        for t in range(h.rounds):
+            handed = engine[0]
+            if cfg["order"].random() < 0.5:
+                # a plain list in any order, as a caller may hand one in
+                handed = list(handed)
+                cfg["order"].shuffle(handed)
+            got = run_round(handed, engine[1], wiring, t, cfg["collect_vectors"])
+            want = swarm_oracle.run_round(oracle[0], oracle[1], wiring, t, cfg["collect_vectors"])
+            assert_same_round(got, want)
+            engine, oracle = got[:2], want[:2]
