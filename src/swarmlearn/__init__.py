@@ -4,7 +4,7 @@ Byzantine attacks, and convergence/divergence diagnostics."""
 from .core import HyperParameters, RngStream, inertia_schedule, sample_coefficients
 from .data import Dataset, emd, label_histogram, load_idx, synthetic_blobs
 from .model import Batch, ModelSpec, accuracy, gradient, loss
-from .swarm import PsState, ScalarReport, WorkerState, run_round
+from .swarm import Population, PsState, ScalarReport, WorkerState, run_round
 
 __version__ = "0.1.0"
 
@@ -12,6 +12,6 @@ __all__ = [
     "HyperParameters", "RngStream", "inertia_schedule", "sample_coefficients",
     "Dataset", "emd", "label_histogram", "load_idx", "synthetic_blobs",
     "Batch", "ModelSpec", "accuracy", "gradient", "loss",
-    "PsState", "ScalarReport", "WorkerState", "run_round",
+    "Population", "PsState", "ScalarReport", "WorkerState", "run_round",
     "__version__",
 ]

@@ -25,7 +25,7 @@ from .experiment import (
     population_batch,
 )
 from .model import Batch, accuracy, loss_and_gradient
-from .swarm import ProtocolWiring, RoundOutcome, initial_ps, run_round
+from .swarm import Population, ProtocolWiring, RoundOutcome, initial_ps, run_round
 
 
 @dataclass(frozen=True)
@@ -203,12 +203,14 @@ def _divergence_row(worker_ws, genie):
 
 def _swarm_rounds(row: Variant, setup, h, attack, verification, collect_vectors):
     """Swarm protocol rounds, each as (outcome, model to test, worker models);
-    the model to test is the global best, None until one exists."""
+    the model to test is the global best, None until one exists. The workers
+    are one population from the first round on."""
     workers = make_workers(setup, h, row.global_train, row.score)
     if attack.active:
         workers = [
             replace(w, is_byzantine=w.worker_id in attack.attacker_ids) for w in workers
         ]
+    workers = Population.of(workers)
     shared_score = setup.shared.score.as_batch() if row.score == "shared" else None
     wiring = ProtocolWiring(
         hyper=h,
@@ -220,7 +222,7 @@ def _swarm_rounds(row: Variant, setup, h, attack, verification, collect_vectors)
     ps = initial_ps()
     for t in range(h.rounds):
         workers, ps, outcome = run_round(workers, ps, wiring, t, collect_vectors=collect_vectors)
-        yield outcome, ps.w_g, [w.w for w in workers]
+        yield outcome, ps.w_g, workers.w
 
 
 def _fedavg_rounds(row: Variant, setup, h):

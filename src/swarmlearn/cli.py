@@ -14,6 +14,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -397,30 +398,33 @@ def run_experiment(config_path: str, output_dir: str | None = None,
 def _uplink_totals(summary_path: Path) -> dict[int, dict[str, int]]:
     """Vector-uplink totals by seed and variant; ConfigError naming the file
     and the bad line or column when the summary cannot give them."""
-    with open(summary_path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        missing = [c for c in ("variant", "seed", "total_vector_uplinks")
-                   if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ConfigError(f"{summary_path}: missing column(s) {', '.join(missing)}")
-        by_seed: dict[int, dict[str, int]] = {}
-        for row in reader:
-            variant = row["variant"]
-            try:
-                seed, total = int(row["seed"]), int(row["total_vector_uplinks"])
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{summary_path} line {reader.line_num}: seed {row['seed']!r} and "
-                    f"total_vector_uplinks {row['total_vector_uplinks']!r} must be integers"
-                ) from None
-            # A FedAvg total is the denominator of every ratio of its seed.
-            floor = 1 if variant in VARIANTS and not VARIANTS[variant].swarm else 0
-            if total < floor:
-                raise ConfigError(
-                    f"{summary_path} line {reader.line_num}: {variant} seed {seed} has "
-                    f"total_vector_uplinks {total}, below {floor}"
-                )
-            by_seed.setdefault(seed, {})[variant] = total
+    try:
+        text = summary_path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{summary_path} is unreadable: {exc}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    missing = [c for c in ("variant", "seed", "total_vector_uplinks")
+               if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"{summary_path}: missing column(s) {', '.join(missing)}")
+    by_seed: dict[int, dict[str, int]] = {}
+    for row in reader:
+        variant = row["variant"]
+        try:
+            seed, total = int(row["seed"]), int(row["total_vector_uplinks"])
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{summary_path} line {reader.line_num}: seed {row['seed']!r} and "
+                f"total_vector_uplinks {row['total_vector_uplinks']!r} must be integers"
+            ) from None
+        # A FedAvg total is the denominator of every ratio of its seed.
+        floor = 1 if variant in VARIANTS and not VARIANTS[variant].swarm else 0
+        if total < floor:
+            raise ConfigError(
+                f"{summary_path} line {reader.line_num}: {variant} seed {seed} has "
+                f"total_vector_uplinks {total}, below {floor}"
+            )
+        by_seed.setdefault(seed, {})[variant] = total
     return by_seed
 
 

@@ -6,19 +6,30 @@ biases) so the swarm update algebra stays purely vector-valued.
 
 A batch is either one set of samples, features (B, d) and labels (B,), or a
 stack of U such sets, features (U, B, d) and labels (U, B), evaluated at one
-common parameter vector. The kernels run the same body on both: every matmul
+common parameter vector; ``loss`` also takes one parameter vector per slice,
+a (U, D) stack. The kernels run the same body on both: every matmul
 broadcasts over the leading axis as one BLAS call per slice, and reductions
 run along the per-slice axes, so slice u of a stacked result is bit-equal to
 the call on batch u alone.
 """
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 MODEL_KINDS = ("softmax_regression", "mlp")
+
+# numpy sums a reduction of at most this many terms as one pairwise block.
+_PAIRWISE_BLOCK = 128
+# ``loss`` scores a stack of models in groups of slices whose widest layer
+# output fits this many bytes, in work buffers kept between calls: fresh
+# pages for every call cost more than the arithmetic at desk shapes.
+_SCORE_BUFFER_BYTES = 1 << 20
+_work: dict[str, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -151,11 +162,115 @@ def _mean_over_rows(per_row: np.ndarray) -> float | np.ndarray:
     return value if value.ndim else float(value)
 
 
+def _work_buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array of ``shape`` over the named work buffer, which grows
+    to the largest size asked for up to the scoring budget; past the budget
+    the array is fresh and not kept.
+
+    The buffers are mapped pages of their own, outside the allocator's heap:
+    a long-lived block in the heap keeps the freed (U, D) rows around it
+    from being returned, which cost the wide workload 9 MB of peak RSS."""
+    size = math.prod(shape)
+    if size * 8 > _SCORE_BUFFER_BYTES:
+        return np.empty(shape)
+    buf = _work.get(name)
+    if buf is None or buf.size < size:
+        buf = _work[name] = np.frombuffer(mmap.mmap(-1, size * 8), dtype=np.float64)
+    return buf[:size].reshape(shape)
+
+
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """Sum over the class axis of class-major (..., C, N) terms, adding in
+    the order numpy's pairwise summation adds a contiguous row of C <= 128
+    terms: sequentially below 8 terms, else 8 running sums combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail; the
+    row's sum is then added to the reduction's initial 0.0. The result is
+    bit-equal to summing the row-major rows with ``sum(axis=-1)``."""
+    classes = e.shape[-2]
+    if classes < 8:
+        s = e[..., 0, :].copy()
+        for k in range(1, classes):
+            s += e[..., k, :]
+    else:
+        stop = classes - classes % 8
+        r = e[..., :8, :]
+        for k in range(8, stop, 8):
+            r = r + e[..., k : k + 8, :]
+        r = r[..., 0::2, :] + r[..., 1::2, :]   # r0 + r1, r2 + r3, r4 + r5, r6 + r7
+        r = r[..., 0::2, :] + r[..., 1::2, :]
+        s = r[..., 0, :] + r[..., 1, :]
+        for k in range(stop, classes):
+            s += e[..., k, :]
+    s += 0.0
+    return s
+
+
+def _score_slices(spec: ModelSpec, w: np.ndarray, features: np.ndarray, labels: np.ndarray):
+    """The mean cross-entropy of each of g slices: w (g, D) or (D,),
+    features (g, N, d) and labels (g, N).
+
+    The logits come from one BLAS call per slice, as in ``_forward``; the
+    rest runs class-major on (g, C, N): the bias, the max over classes, the
+    shifted exponentials, their class sums and the true-class picks each
+    take one pass over contiguous rows of N samples."""
+    g, n = labels.shape
+    layers = _unpack(spec, w, w.shape[:-1])
+    a = features
+    for i, (weight, bias) in enumerate(layers[:-1]):
+        hidden = _work_buffer(f"hidden{i}", (g, n, weight.shape[-2]))
+        np.matmul(a, weight.swapaxes(-1, -2), out=hidden)
+        hidden += bias[..., None, :]
+        a = np.maximum(hidden, 0.0, out=hidden)
+    weight, bias = layers[-1]
+    classes = weight.shape[-2]
+    z = _work_buffer("logits", (g, n, classes))
+    np.matmul(a, weight.swapaxes(-1, -2), out=z)
+    zc = _work_buffer("class_major", (g, classes, n))
+    np.copyto(zc, z.swapaxes(-1, -2))
+    zc += bias[..., :, None]
+    m = zc.max(axis=-2)
+    e = _work_buffer("exp", (g, classes, n))
+    np.subtract(zc, m[..., None, :], out=e)
+    np.exp(e, out=e)
+    # the true-class logits, at flat offsets (u * C + label) * N + row
+    at = (np.arange(g)[:, None] * classes + labels) * n
+    at += np.arange(n)
+    per_row = np.log(_class_sum(e))
+    np.add(m, per_row, out=per_row)
+    per_row -= zc.reshape(-1)[at]
+    return _mean_over_rows(per_row)
+
+
 def loss(spec: ModelSpec, w: np.ndarray, batch: Batch) -> float | np.ndarray:
     """Mean cross-entropy of the batch (of each slice of a stack), computed
-    with the log-sum-exp trick."""
-    z = logits(spec, w, batch.features)
-    return _mean_over_rows(_cross_entropy_terms(z, batch.labels)[0])
+    with the log-sum-exp trick.
+
+    ``w`` is one parameter vector, or a (U, D) stack of them for a stack of
+    U batches, row u scoring slice u. The result is bit-equal to the
+    row-major terms ``loss_and_gradient`` takes; a stack is scored in groups
+    of slices that fit the scoring budget."""
+    features, labels = batch.features, batch.labels
+    if w.ndim == 2 and (labels.ndim != 2 or len(w) != len(labels)):
+        raise ValueError(f"a ({len(w)}, D) parameter stack needs a stack of {len(w)} batches")
+    if spec.num_classes > _PAIRWISE_BLOCK:
+        if w.ndim == 2:
+            return np.array([loss(spec, row, Batch(x, y)) for row, x, y in zip(w, features, labels)])
+        z = logits(spec, w, features)
+        return _mean_over_rows(_cross_entropy_terms(z, labels)[0])
+    if labels.ndim == 1:
+        return float(_score_slices(spec, w, features[None], labels[None])[0])
+    u, n = labels.shape
+    widest = max((*spec.hidden_dims, spec.num_classes))
+    group = max(1, _SCORE_BUFFER_BYTES // (8 * n * widest))
+    if group >= u:
+        return _score_slices(spec, w, features, labels)
+    values = np.empty(u)
+    for lo in range(0, u, group):
+        part = slice(lo, lo + group)
+        values[part] = _score_slices(
+            spec, w[part] if w.ndim == 2 else w, features[part], labels[part]
+        )
+    return values
 
 
 def loss_and_gradient(

@@ -307,6 +307,27 @@ class TestReport:
         assert err.startswith("config error:") and str(summary) in err and named in err
         assert not (out / "communication.csv").exists()
 
+    def test_summary_that_is_a_directory_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "summary.csv").mkdir(parents=True)
+        assert main(["report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{out / 'summary.csv'} is unreadable" in err
+
+    def test_summary_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run_experiment(str(path)) == 0
+        assert report_communication(str(out)) == 0
+        capsys.readouterr()
+        summary = out / "summary.csv"
+        summary.write_bytes(summary.read_bytes().replace(b"fedavg", b"fed\xffavg", 1))
+        assert main(["report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{summary} is unreadable" in err
+        assert "can't decode byte 0xff" in err
+        assert not (out / "communication.csv").exists()
+
 
 def _set_total(text, variant, total):
     """The summary with ``variant``'s first total_vector_uplinks set to ``total``."""

@@ -8,6 +8,7 @@ import configparser
 import ctypes
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,17 +89,20 @@ def csv_digests(parser: configparser.ConfigParser, tmp_path: Path) -> dict[str, 
 
 
 # The CSV bytes depend on the machine code numpy and OpenBLAS pick at run
-# time (BLAS kernels, numpy's SIMD exp/log), not only on code and config.
-# This is the arithmetic the digests below were recorded under.
+# time (BLAS kernels, numpy's SIMD exp/log) and on the BLAS thread count,
+# not only on code and config: the 784-input GEMMs of a wide MLP run write
+# different bytes under one thread (the digests below, at desk and audit
+# shapes, do not move with it). This is the arithmetic they were recorded
+# under.
 RECORDED_ARITHMETIC = (
     "numpy 2.4.6; dispatch X86_V3 X86_V4 AVX512_ICL AVX512_SPR; "
     "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64; "
-    "core SkylakeX"
+    "core SkylakeX; blas threads 2"
 )
 
 
-def _openblas_string(name: str) -> str:
-    """``get_<name>`` of the OpenBLAS bundled with numpy, or "unknown"."""
+def _openblas_get(name: str, restype):
+    """``get_<name>()`` of the OpenBLAS bundled with numpy, or None."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
@@ -108,21 +112,28 @@ def _openblas_string(name: str) -> str:
                        f"openblas_get_{name}"):
             fn = getattr(lib, symbol, None)
             if fn is not None:
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
-    return "unknown"
+                fn.restype = restype
+                return fn()
+    return None
+
+
+def _openblas_string(name: str) -> str:
+    value = _openblas_get(name, ctypes.c_char_p)
+    return "unknown" if value is None else value.decode()
 
 
 def arithmetic_fingerprint() -> str:
     """numpy's version and enabled SIMD dispatch targets, the OpenBLAS config
-    string and the core it picked."""
+    string, the core it picked and its thread count."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
         dispatch = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
     except ImportError:
         dispatch = "unknown"
+    threads = _openblas_get("num_threads", ctypes.c_int)
     return (f"numpy {np.__version__}; dispatch {dispatch}; "
-            f"{_openblas_string('config')}; core {_openblas_string('corename')}")
+            f"{_openblas_string('config')}; core {_openblas_string('corename')}; "
+            f"blas threads {'unknown' if threads is None else threads}")
 
 
 def assert_digests(got: dict[str, str], expected: dict[str, str]):
@@ -196,6 +207,7 @@ UNVERIFIED_SCALED_DIGESTS = {
 
 def test_a_mismatch_names_both_arithmetic_fingerprints():
     assert arithmetic_fingerprint() == arithmetic_fingerprint()
+    assert re.search(r"; blas threads (\d+|unknown)$", arithmetic_fingerprint())
     with pytest.raises(AssertionError) as failure:
         assert_digests({"summary.csv": "0"}, {"summary.csv": "1"})
     message = str(failure.value)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmlearn import model
 from swarmlearn.model import (
     Batch,
     ModelSpec,
@@ -244,42 +245,98 @@ def test_kernels_bit_identical_to_plain_formulas(case):
 
 @st.composite
 def stacked_cases(draw):
-    """A spec, parameters and a stack of U batches of B rows each."""
-    classes = draw(st.integers(2, 12))
+    """A spec, parameters, one parameter vector per slice and a stack of U
+    batches of B rows each."""
+    classes = draw(st.integers(2, 40))
     input_dim = draw(st.integers(1, 12))
     hidden = draw(st.one_of(st.just(()), st.lists(st.integers(1, 20), min_size=1, max_size=2)))
     spec = ModelSpec("mlp" if hidden else "softmax_regression", input_dim, classes, tuple(hidden))
-    u, b = draw(st.integers(1, 8)), draw(st.integers(1, 64))
+    u, b = draw(st.integers(1, 12)), draw(st.integers(1, 64))
     scale = draw(st.sampled_from([0.0, 1e-3, 0.05, 1.0, 10.0, 300.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     w = rng.standard_normal(param_count(spec)) * scale
+    ws = rng.standard_normal((u, param_count(spec))) * scale
     batch = Batch(rng.standard_normal((u, b, input_dim)), rng.integers(0, classes, (u, b)))
-    return spec, w, batch
+    return spec, w, ws, batch
 
 
 @settings(max_examples=150, deadline=None)
 @given(stacked_cases())
 def test_stacked_slices_bit_equal_to_single_calls(case):
-    spec, w, batch = case
+    spec, w, ws, batch = case
     u, b = batch.labels.shape
-    w_before = w.tobytes()
+    w_before, ws_before = w.tobytes(), ws.tobytes()
     features_before, labels_before = batch.features.tobytes(), batch.labels.tobytes()
 
     values, grads = loss_and_gradient(spec, w, batch)
     losses = loss(spec, w, batch)
-    assert len(batch) == u * b
-    assert values.shape == losses.shape == (u,) and grads.shape == (u, param_count(spec))
+    per_worker = loss(spec, ws, batch)
+    # one batch shared by every worker, as broadcast views
+    shared = Batch(np.broadcast_to(batch.features[0], batch.features.shape),
+                   np.broadcast_to(batch.labels[0], batch.labels.shape))
+    on_shared = loss(spec, ws, shared)
+    assert len(batch) == len(shared) == u * b
+    assert values.shape == losses.shape == per_worker.shape == on_shared.shape == (u,)
+    assert grads.shape == (u, param_count(spec))
     for k in range(u):
         single = Batch(batch.features[k], batch.labels[k])
         value, grad = loss_and_gradient(spec, w, single)
         assert values[k] == value and losses[k] == value
         assert grads[k].tobytes() == grad.tobytes()
+        # the row-major terms of the gradient kernel score row k alike
+        assert per_worker[k] == loss_and_gradient(spec, ws[k], single)[0] == loss(spec, ws[k], single)
+        first = Batch(batch.features[0], batch.labels[0])
+        assert on_shared[k] == loss_and_gradient(spec, ws[k], first)[0]
 
     assert grads.flags.owndata and grads.flags.c_contiguous
     assert not np.shares_memory(grads, w) and not np.shares_memory(grads, batch.features)
-    assert w.tobytes() == w_before
+    assert w.tobytes() == w_before and ws.tobytes() == ws_before
     assert batch.features.tobytes() == features_before
     assert batch.labels.tobytes() == labels_before
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 128),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
+    st.sampled_from([0.0, 0.05, 0.5]),
+)
+def test_class_sum_adds_in_numpys_pairwise_order(n, rows, seed, magnitude, special):
+    # the explicit class-major sum pins numpy's own order for a row of n
+    # terms: magnitudes spread over many decades make a different order
+    # round differently, and a share of the entries is inf, -inf, nan or -0.0
+    rng = np.random.default_rng(seed)
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = rng.standard_normal((rows, n)) * magnitude * 10.0 ** rng.integers(-8, 9, (rows, n))
+        odd = rng.random((rows, n)) < special
+        terms[odd] = rng.choice([np.inf, -np.inf, np.nan, -0.0], odd.sum())
+        want = terms.sum(axis=-1)
+        got = model._class_sum(np.ascontiguousarray(terms.T))
+    # which NaN an addition of two NaNs keeps is up to the machine code, not
+    # the order; every other value must match bit for bit, signed zeros too
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("spec", [MLP, SOFTMAX, ModelSpec("softmax_regression", 3, 130)],
+                         ids=["mlp", "softmax", "past_one_pairwise_block"])
+def test_scoring_groups_and_wide_outputs_keep_every_bit(spec, monkeypatch, rng):
+    # a stack scored in groups of two slices, and a model with more classes
+    # than one pairwise block, score every slice as the single call does
+    u, n = 5, 40
+    ws = rng.standard_normal((u, param_count(spec)))
+    batch = Batch(rng.standard_normal((u, n, spec.input_dim)),
+                  rng.integers(0, spec.num_classes, (u, n)))
+    whole = loss(spec, ws, batch)
+    widest = max((*spec.hidden_dims, spec.num_classes))
+    monkeypatch.setattr(model, "_SCORE_BUFFER_BYTES", 2 * 8 * n * widest)
+    grouped = loss(spec, ws, batch)
+    singles = [loss_and_gradient(spec, ws[k], Batch(batch.features[k], batch.labels[k]))[0]
+               for k in range(u)]
+    assert whole.tobytes() == grouped.tobytes() == np.array(singles).tobytes()
 
 
 class TestBatch:
@@ -297,6 +354,13 @@ class TestBatch:
         batch = Batch(rng.standard_normal((2, 3, 6)), rng.integers(0, 10, (2, 3)))
         with pytest.raises(ValueError):
             loss_and_gradient(SOFTMAX, np.zeros((2, param_count(SOFTMAX))), batch)
+
+    def test_parameter_stack_needs_as_many_batches(self, rng):
+        ws = np.zeros((2, param_count(SOFTMAX)))
+        with pytest.raises(ValueError, match="stack of 2 batches"):
+            loss(SOFTMAX, ws, Batch(rng.standard_normal((3, 3, 6)), rng.integers(0, 10, (3, 3))))
+        with pytest.raises(ValueError, match="stack of 2 batches"):
+            loss(SOFTMAX, ws, Batch(rng.standard_normal((3, 6)), rng.integers(0, 10, 3)))
 
 
 class TestAccuracy:

@@ -13,7 +13,9 @@ from swarmlearn.core import HyperParameters, NonFiniteError, sample_coefficients
 from swarmlearn.data import draw_batch_indices, synthetic_blobs
 from swarmlearn.experiment import DataConfig, build_setup, make_workers
 from swarmlearn.model import Batch, ModelSpec, loss, loss_and_gradient, param_count
+from swarmlearn import swarm
 from swarmlearn.swarm import (
+    Population,
     ProtocolWiring,
     PsState,
     ScalarReport,
@@ -98,6 +100,25 @@ class TestHybridUpdate:
         w_new, _ = hybrid_update(w, np.ones(2), w.copy(), w_g, 0.0, 0.0, 1.0, 0.0, np.zeros(2))
         assert np.allclose(w_new, w_g, atol=1e-15)
 
+    @pytest.mark.parametrize("c0", [0.0, 0.7])
+    def test_rows_equal_the_update_of_each_row_alone(self, c0):
+        # one coefficient per row; a zero skips its term in its own row only,
+        # so the infinite personal best of row 1 (c1 = 0) leaves it finite
+        rng = np.random.default_rng(3)
+        w, v, wp, grad = (rng.standard_normal((4, 6)) for _ in range(4))
+        wg = rng.standard_normal(6)
+        wp[1, 2] = np.inf
+        w[3] = -0.0
+        c1 = np.array([0.5, 0.0, 0.25, 0.0])
+        c2 = np.array([0.0, 0.75, 0.5, 0.0])
+        out = np.empty((4, 6)), np.empty((4, 6))
+        rows = hybrid_update(w, v, wp, wg, c0, c1[:, None], c2[:, None], 0.1, grad, out=out)
+        assert rows[0] is out[0] and rows[1] is out[1]
+        for u in range(4):
+            alone = hybrid_update(w[u], v[u], wp[u], wg, c0, c1[u], c2[u], 0.1, grad[u])
+            assert rows[0][u].tobytes() == alone[0].tobytes()
+            assert rows[1][u].tobytes() == alone[1].tobytes()
+
 
 class TestWorkerStep:
     def test_degenerate_matches_standalone_sgd(self):
@@ -132,11 +153,14 @@ class TestWorkerStep:
     def test_social_pull_suppressed_without_global_best(self):
         setup, h = small_setup(seed=3)
         workers = make_workers(setup, h, True, "shared")
-        moved, info = worker_step(workers[0], None, h, setup.spec, 0, collect_vectors=True)
-        assert info.c2 == 0.0
-        # identical init means the personal pull is zero at round 0 too:
-        # the step reduces to -alpha * grad
-        assert np.allclose(moved.w - workers[0].w, -h.alpha * info.grad, rtol=0, atol=1e-17)
+        moved, infos = worker_step(Population.of(workers), None, h, setup.spec, 0,
+                                   collect_vectors=True)
+        for worker, info in zip(workers, infos):
+            assert info.c2 == 0.0 and info.w_g_used is None
+            # identical init means the personal pull is zero at round 0 too:
+            # the step reduces to -alpha * grad
+            step = moved[worker.worker_id].w - worker.w
+            assert np.allclose(step, -h.alpha * info.grad, rtol=0, atol=1e-17)
 
     def test_velocity_identity_along_live_run(self):
         setup, h, workers, wiring = swarm_world(seed=4)
@@ -149,32 +173,59 @@ class TestWorkerStep:
 
     def test_non_finite_raises_with_context(self):
         setup, h, workers, wiring = swarm_world(seed=5)
-        from dataclasses import replace
+        bad = [replace(w, w=w.w * np.inf) if w.worker_id in (2, 3) else w for w in workers]
+        # the lowest bad worker id and the round are named
+        with np.errstate(invalid="ignore"), pytest.raises(
+            NonFiniteError, match="^round 0, worker 2: non-finite values in worker 2 parameters"
+        ):
+            worker_step(Population.of(bad), None, h, setup.spec, 0)
 
-        bad = replace(workers[0], w=workers[0].w * np.inf)
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="worker 0"):
-            worker_step(bad, None, h, setup.spec, 0)
+    def test_row_runs_change_no_bit(self, monkeypatch):
+        # a row budget of one row steps every worker in its own run, as the
+        # widest models do; the rounds stay byte-equal to the per-worker oracle
+        setup, h, workers, wiring = swarm_world(seed=5)
+        monkeypatch.setattr(swarm, "_ROW_BUDGET_BYTES", 8)
+        engine, oracle = (workers, initial_ps()), (workers, initial_ps())
+        for t in range(h.rounds):
+            got = run_round(*engine, wiring, t, collect_vectors=True)
+            want = swarm_oracle.run_round(*oracle, wiring, t, collect_vectors=True)
+            assert_same_round(got, want)
+            engine, oracle = got[:2], want[:2]
 
 
 class TestScoreAndBest:
     def test_first_score_replaces_sentinel(self):
         setup, h, workers, _ = swarm_world(seed=6)
-        from dataclasses import replace
-
-        w = replace(workers[0], f_p=math.inf)
-        scored, report = score_and_update_best(w, setup.spec)
-        assert math.isfinite(scored.f_p)
-        assert report.claimed == scored.f_p
-        assert np.array_equal(scored.w_p, scored.w)
+        pop = Population.of([replace(workers[0], f_p=math.inf), *workers[1:]])
+        scored = score_and_update_best(pop, setup.spec)
+        assert math.isfinite(scored.f_p[0])
+        assert scored.f_p[0] == loss(setup.spec, workers[0].w, workers[0].score_set)
+        assert np.array_equal(scored.w_p[0], scored.w[0])
+        # the others scored their starting point already: nothing better
+        assert scored.f_p[1:].tobytes() == pop.f_p[1:].tobytes()
 
     def test_equal_score_keeps_old_best(self):
         setup, h, workers, _ = swarm_world(seed=6)
-        scored, _ = score_and_update_best(workers[0], setup.spec)
+        scored = score_and_update_best(Population.of(workers), setup.spec)
         # scoring the same parameters again produces the same value: no update
-        before = scored.w_p
-        again, _ = score_and_update_best(scored, setup.spec)
-        assert again.w_p is before
-        assert again.f_p == scored.f_p
+        again = score_and_update_best(scored, setup.spec)
+        assert again is scored
+        assert again.w_p is scored.w_p and again.f_p is scored.f_p
+
+    def test_one_stacked_score_per_round(self, monkeypatch):
+        # every worker's score comes from one loss call over a (U, D) stack,
+        # on broadcast views of the shared set: U * N sample-evaluations
+        setup, h, workers, _ = swarm_world(seed=6)
+        calls = []
+
+        def counting(spec, w, batch):
+            calls.append((w.shape, len(batch)))
+            return loss(spec, w, batch)
+
+        monkeypatch.setattr(swarm, "loss", counting)
+        score_and_update_best(Population.of(workers), setup.spec)
+        score_set = workers[0].score_set
+        assert calls == [((h.num_workers, param_count(setup.spec)), h.num_workers * len(score_set))]
 
     def test_reported_best_is_non_increasing(self):
         setup, h, workers, wiring = swarm_world(seed=7)
@@ -204,16 +255,16 @@ class TestInvitationOrder:
 class TestVerification:
     def test_honest_upload_accepted_exactly(self):
         setup, h, workers, wiring = swarm_world(seed=8)
-        scored, report = score_and_update_best(workers[1], setup.spec)
+        scored = score_and_update_best(Population.of(workers), setup.spec)
         assert verify_upload(
-            scored.w_p.copy(), report.claimed, wiring.shared_score, setup.spec, 1e-9
+            scored.w_p[1].copy(), scored.f_p[1], wiring.shared_score, setup.spec, 1e-9
         )
 
     def test_wrong_claim_rejected(self):
         setup, h, workers, wiring = swarm_world(seed=8)
-        scored, report = score_and_update_best(workers[1], setup.spec)
+        scored = score_and_update_best(Population.of(workers), setup.spec)
         assert not verify_upload(
-            scored.w_p.copy(), report.claimed - 0.55, wiring.shared_score, setup.spec, 1e-9
+            scored.w_p[1].copy(), scored.f_p[1] - 0.55, wiring.shared_score, setup.spec, 1e-9
         )
 
     def test_nan_upload_rejected(self):
@@ -221,6 +272,46 @@ class TestVerification:
         bad = workers[0].w_p.copy()
         bad[0] = np.nan
         assert not verify_upload(bad, 0.1, wiring.shared_score, setup.spec, 1e-9)
+
+
+class TestPopulation:
+    def test_rows_read_as_worker_state_views(self):
+        setup, h, workers, wiring = swarm_world(seed=9)
+        pop, _, outcome = run_round(workers, initial_ps(), wiring, 0)
+        assert isinstance(pop, Population) and len(pop) == len(outcome.step_infos) == h.num_workers
+        for u, state in enumerate(pop):
+            assert isinstance(state, WorkerState) and state.worker_id == u
+            assert np.shares_memory(state.w, pop.w) and state.f_p == pop.f_p[u]
+            assert state.train_labels is workers[u].train_labels
+        assert [s.worker_id for s in pop[1:3]] == [1, 2] and pop[-1].worker_id == h.num_workers - 1
+        with pytest.raises(ValueError, match="read-only"):
+            pop[0].w[0] = 1.0
+        with pytest.raises(TypeError):
+            pop[0] = workers[0]
+
+    def test_a_round_leaves_its_input_as_it_was(self):
+        setup, h, workers, wiring = swarm_world(seed=9)
+        before = [(s.w.tobytes(), s.v.tobytes(), s.w_p.tobytes(), s.f_p) for s in workers]
+        pop, ps, _ = run_round(workers, initial_ps(), wiring, 0)
+        rows = pop.w.tobytes(), pop.w_p.tobytes()
+        run_round(pop, ps, wiring, 1)
+        assert [(s.w.tobytes(), s.v.tobytes(), s.w_p.tobytes(), s.f_p) for s in workers] == before
+        assert (pop.w.tobytes(), pop.w_p.tobytes()) == rows
+
+    def test_step_infos_read_the_round_arrays(self):
+        setup, h, workers, wiring = swarm_world(seed=9)
+        _, _, outcome = run_round(workers, initial_ps(), wiring, 0, collect_vectors=True)
+        infos = outcome.step_infos
+        assert [i.worker_id for i in infos] == list(range(h.num_workers))
+        assert np.array([i.batch_loss for i in infos]).tobytes() == outcome.batch_losses.tobytes()
+        # vectors are rows of the round's (U, D) arrays
+        assert infos[2].w_post.base is infos[0].w_post.base is not None
+        _, _, plain = run_round(workers, initial_ps(), wiring, 0)
+        assert plain.step_infos == tuple(
+            replace(i, w_pre=None, w_post=None, v_pre=None, v_post=None, w_p_pre=None,
+                    w_g_used=None, grad=None)
+            for i in infos
+        )
 
 
 class TestRunRound:
@@ -350,6 +441,7 @@ class TestRoundInvariants:
             before = set(ps.blacklist)
             f_before = ps.f_g
             workers, ps, outcome = run_round(workers, ps, wiring, t)
+            shuffled = list(shuffled)
             cfg["order"].shuffle(shuffled)
             shuffled, ps_shuffled, shuffled_outcome = run_round(shuffled, ps_shuffled, wiring, t)
             assert ps.f_g <= f_before
