@@ -26,10 +26,8 @@ MODEL_KINDS = ("softmax_regression", "mlp")
 # numpy sums a reduction of at most this many terms as one pairwise block.
 _PAIRWISE_BLOCK = 128
 # ``loss`` scores a stack of models in groups of slices whose widest layer
-# output fits this many bytes, in work buffers kept between calls: fresh
-# pages for every call cost more than the arithmetic at desk shapes.
+# output fits this many bytes.
 _SCORE_BUFFER_BYTES = 1 << 20
-_work: dict[str, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -162,21 +160,34 @@ def _mean_over_rows(per_row: np.ndarray) -> float | np.ndarray:
     return value if value.ndim else float(value)
 
 
-def _work_buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 array of ``shape`` over the named work buffer, which grows
-    to the largest size asked for up to the scoring budget; past the budget
-    the array is fresh and not kept.
+class ScoreWork:
+    """Work buffers that ``loss`` calls passing this object reuse: named
+    float64 arrays, each grown to the largest size asked for up to the
+    scoring budget. Fresh pages for every call cost more than the arithmetic
+    at desk shapes.
 
     The buffers are mapped pages of their own, outside the allocator's heap:
     a long-lived block in the heap keeps the freed (U, D) rows around it
     from being returned, which cost the wide workload 9 MB of peak RSS."""
-    size = math.prod(shape)
-    if size * 8 > _SCORE_BUFFER_BYTES:
-        return np.empty(shape)
-    buf = _work.get(name)
-    if buf is None or buf.size < size:
-        buf = _work[name] = np.frombuffer(mmap.mmap(-1, size * 8), dtype=np.float64)
-    return buf[:size].reshape(shape)
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A float64 array of ``shape`` over the named buffer; past the
+        budget the array is fresh and not kept."""
+        size = math.prod(shape)
+        if size * 8 > _SCORE_BUFFER_BYTES:
+            return np.empty(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = np.frombuffer(mmap.mmap(-1, size * 8), dtype=np.float64)
+            self._buffers[name] = buf
+        return buf[:size].reshape(shape)
+
+
+def _fresh(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    return np.empty(shape)
 
 
 def _class_sum(e: np.ndarray) -> np.ndarray:
@@ -205,7 +216,8 @@ def _class_sum(e: np.ndarray) -> np.ndarray:
     return s
 
 
-def _score_slices(spec: ModelSpec, w: np.ndarray, features: np.ndarray, labels: np.ndarray):
+def _score_slices(spec: ModelSpec, w: np.ndarray, features: np.ndarray, labels: np.ndarray,
+                  buffer=_fresh):
     """The mean cross-entropy of each of g slices: w (g, D) or (D,),
     features (g, N, d) and labels (g, N).
 
@@ -217,19 +229,19 @@ def _score_slices(spec: ModelSpec, w: np.ndarray, features: np.ndarray, labels: 
     layers = _unpack(spec, w, w.shape[:-1])
     a = features
     for i, (weight, bias) in enumerate(layers[:-1]):
-        hidden = _work_buffer(f"hidden{i}", (g, n, weight.shape[-2]))
+        hidden = buffer(f"hidden{i}", (g, n, weight.shape[-2]))
         np.matmul(a, weight.swapaxes(-1, -2), out=hidden)
         hidden += bias[..., None, :]
         a = np.maximum(hidden, 0.0, out=hidden)
     weight, bias = layers[-1]
     classes = weight.shape[-2]
-    z = _work_buffer("logits", (g, n, classes))
+    z = buffer("logits", (g, n, classes))
     np.matmul(a, weight.swapaxes(-1, -2), out=z)
-    zc = _work_buffer("class_major", (g, classes, n))
+    zc = buffer("class_major", (g, classes, n))
     np.copyto(zc, z.swapaxes(-1, -2))
     zc += bias[..., :, None]
     m = zc.max(axis=-2)
-    e = _work_buffer("exp", (g, classes, n))
+    e = buffer("exp", (g, classes, n))
     np.subtract(zc, m[..., None, :], out=e)
     np.exp(e, out=e)
     # the true-class logits, at flat offsets (u * C + label) * N + row
@@ -241,14 +253,17 @@ def _score_slices(spec: ModelSpec, w: np.ndarray, features: np.ndarray, labels: 
     return _mean_over_rows(per_row)
 
 
-def loss(spec: ModelSpec, w: np.ndarray, batch: Batch) -> float | np.ndarray:
+def loss(
+    spec: ModelSpec, w: np.ndarray, batch: Batch, work: ScoreWork | None = None
+) -> float | np.ndarray:
     """Mean cross-entropy of the batch (of each slice of a stack), computed
     with the log-sum-exp trick.
 
     ``w`` is one parameter vector, or a (U, D) stack of them for a stack of
     U batches, row u scoring slice u. The result is bit-equal to the
     row-major terms ``loss_and_gradient`` takes; a stack is scored in groups
-    of slices that fit the scoring budget."""
+    of slices that fit the scoring budget, in the buffers of ``work`` when
+    given."""
     features, labels = batch.features, batch.labels
     if w.ndim == 2 and (labels.ndim != 2 or len(w) != len(labels)):
         raise ValueError(f"a ({len(w)}, D) parameter stack needs a stack of {len(w)} batches")
@@ -257,18 +272,17 @@ def loss(spec: ModelSpec, w: np.ndarray, batch: Batch) -> float | np.ndarray:
             return np.array([loss(spec, row, Batch(x, y)) for row, x, y in zip(w, features, labels)])
         z = logits(spec, w, features)
         return _mean_over_rows(_cross_entropy_terms(z, labels)[0])
+    buffer = _fresh if work is None else work.array
     if labels.ndim == 1:
-        return float(_score_slices(spec, w, features[None], labels[None])[0])
+        return float(_score_slices(spec, w, features[None], labels[None], buffer)[0])
     u, n = labels.shape
     widest = max((*spec.hidden_dims, spec.num_classes))
     group = max(1, _SCORE_BUFFER_BYTES // (8 * n * widest))
-    if group >= u:
-        return _score_slices(spec, w, features, labels)
     values = np.empty(u)
     for lo in range(0, u, group):
         part = slice(lo, lo + group)
         values[part] = _score_slices(
-            spec, w[part] if w.ndim == 2 else w, features[part], labels[part]
+            spec, w[part] if w.ndim == 2 else w, features[part], labels[part], buffer
         )
     return values
 

@@ -34,7 +34,7 @@ from .core import (
     stream_draws,
 )
 from .data import Rows
-from .model import Batch, ModelSpec, loss, loss_and_gradient
+from .model import Batch, ModelSpec, ScoreWork, loss, loss_and_gradient
 
 # The step phase updates the workers in runs of rows whose (rows, D)
 # gradients fit this many bytes: a wide model makes no (U, D) temporaries,
@@ -170,7 +170,7 @@ class Crew:
     index, None unless the pools are equal-length ``Rows`` of one set and the
     draws are stacked. ``score`` is every worker's scoring set as one stacked
     batch (broadcast views of a set all workers share), None when the sets
-    differ in length.
+    differ in length. ``work`` holds the scoring buffers, kept for the run.
     """
 
     states: tuple[WorkerState, ...]
@@ -179,6 +179,7 @@ class Crew:
     draws: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     pool: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     score: Batch | None
+    work: ScoreWork = field(default_factory=ScoreWork)
 
     @classmethod
     def of(cls, states: tuple[WorkerState, ...]) -> Crew:
@@ -233,8 +234,9 @@ class Crew:
 class Population(Sequence):
     """A round's workers as rows: (U, D) positions ``w``, velocities ``v``
     and personal bests ``w_p`` and (U,) best scores ``f_p``, in worker-id
-    order. It reads as a sequence of ``WorkerState`` views, one per worker;
-    the arrays are read-only, and every round makes new ones."""
+    order. It reads as a sequence of ``WorkerState`` views, one per worker.
+    The arrays are read-only: a round makes new ones and never writes into
+    those of an earlier round."""
 
     crew: Crew
     w: np.ndarray
@@ -378,7 +380,7 @@ def score_and_update_best(pop: Population, spec: ModelSpec) -> Population:
     better."""
     crew = pop.crew
     if crew.score is not None:
-        scores = loss(spec, pop.w, crew.score)
+        scores = loss(spec, pop.w, crew.score, work=crew.work)
     else:
         scores = np.array([loss(spec, pop.w[u], s.score_set) for u, s in enumerate(crew.states)])
     better = scores < pop.f_p

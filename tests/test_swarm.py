@@ -218,9 +218,9 @@ class TestScoreAndBest:
         setup, h, workers, _ = swarm_world(seed=6)
         calls = []
 
-        def counting(spec, w, batch):
+        def counting(spec, w, batch, **kwargs):
             calls.append((w.shape, len(batch)))
-            return loss(spec, w, batch)
+            return loss(spec, w, batch, **kwargs)
 
         monkeypatch.setattr(swarm, "loss", counting)
         score_and_update_best(Population.of(workers), setup.spec)
