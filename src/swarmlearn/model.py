@@ -26,7 +26,7 @@ MODEL_KINDS = ("softmax_regression", "mlp")
 # numpy sums a reduction of at most this many terms as one pairwise block.
 _PAIRWISE_BLOCK = 128
 # ``loss`` scores a stack of models in groups of slices whose widest layer
-# output fits this many bytes.
+# output fits this many bytes; a ``Workspace`` keeps arrays up to this size.
 _SCORE_BUFFER_BYTES = 1 << 20
 
 
@@ -160,8 +160,8 @@ def _mean_over_rows(per_row: np.ndarray) -> float | np.ndarray:
     return value if value.ndim else float(value)
 
 
-class ScoreWork:
-    """Work buffers that ``loss`` calls passing this object reuse: named
+class Workspace:
+    """Work buffers kept from call to call (``loss`` takes one): named
     float64 arrays, each grown to the largest size asked for up to the
     scoring budget. Fresh pages for every call cost more than the arithmetic
     at desk shapes.
@@ -254,7 +254,7 @@ def _score_slices(spec: ModelSpec, w: np.ndarray, features: np.ndarray, labels: 
 
 
 def loss(
-    spec: ModelSpec, w: np.ndarray, batch: Batch, work: ScoreWork | None = None
+    spec: ModelSpec, w: np.ndarray, batch: Batch, work: Workspace | None = None
 ) -> float | np.ndarray:
     """Mean cross-entropy of the batch (of each slice of a stack), computed
     with the log-sum-exp trick.

@@ -34,7 +34,7 @@ from .core import (
     stream_draws,
 )
 from .data import Rows
-from .model import Batch, ModelSpec, ScoreWork, loss, loss_and_gradient
+from .model import Batch, ModelSpec, Workspace, loss, loss_and_gradient
 
 # The step phase updates the workers in runs of rows whose (rows, D)
 # gradients fit this many bytes: a wide model makes no (U, D) temporaries,
@@ -166,20 +166,21 @@ class Crew:
     streams and scoring sets). ``draws`` is the run's draw table stacked as
     (T, U) swarm weights and (T, U, B) batch positions, None when a worker
     has no table or the batch lengths differ. ``pool`` holds the training
-    features and labels every pool indexes and the pools as one (U, P)
-    index, None unless the pools are equal-length ``Rows`` of one set and the
-    draws are stacked. ``score`` is every worker's scoring set as one stacked
+    features and labels every pool indexes, the pools as one (U, P) index
+    (flattened) and each row's start in it, None unless the pools are
+    equal-length ``Rows`` of one set and the draws are stacked. ``score`` is every worker's scoring set as one stacked
     batch (broadcast views of a set all workers share), None when the sets
-    differ in length. ``work`` holds the scoring buffers, kept for the run.
+    differ in length. ``work`` holds the buffers the step and scoring
+    phases reuse, kept for the run.
     """
 
     states: tuple[WorkerState, ...]
     ids: tuple[int, ...]
     byzantine: tuple[bool, ...]
     draws: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    pool: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    pool: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
     score: Batch | None
-    work: ScoreWork = field(default_factory=ScoreWork)
+    work: Workspace = field(default_factory=Workspace)
 
     @classmethod
     def of(cls, states: tuple[WorkerState, ...]) -> Crew:
@@ -196,7 +197,10 @@ class Crew:
                     and all(isinstance(y, Rows) and y.base is labels[0].base for y in labels)
                     and all(f.index is y.index for f, y in zip(features, labels))
                     and len({len(f) for f in features}) == 1):
-                pool = features[0].base, labels[0].base, np.stack([f.index for f in features])
+                index = np.stack([f.index for f in features])
+                # row u's position p is flat entry u * P + p
+                starts = np.arange(0, index.size, index.shape[1])[:, None]
+                pool = features[0].base, labels[0].base, index.reshape(-1), starts
         sets = [s.score_set for s in states]
         u = len(sets)
         if sets[0] is not None and all(b is sets[0] for b in sets):
@@ -225,8 +229,8 @@ class Crew:
         if self.pool is None:
             return [Batch(s.train_features[idx], s.train_labels[idx])
                     for s, idx in zip(self.states[rows], positions[rows])]
-        features, labels, index = self.pool
-        at = np.take_along_axis(index[rows], positions[rows], axis=1)
+        features, labels, index, starts = self.pool
+        at = index[positions[rows] + starts[rows]]
         return [Batch(x, y) for x, y in zip(features[at], labels[at])]
 
 
@@ -279,6 +283,7 @@ def hybrid_update(
     alpha: float,
     grad: np.ndarray,
     out: tuple[np.ndarray, np.ndarray] | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The hybrid position update: inertia + both pulls - a gradient step.
 
@@ -288,9 +293,11 @@ def hybrid_update(
     plain SGD. ``w``, ``v``, ``w_p`` and ``grad`` may be (U, D) rows with
     ``c1`` and ``c2`` (U, 1) columns; a zero then skips its term in its own
     row, so every row is bit-equal to the update of that row alone. ``out``
-    takes the arrays to write (w', v') into.
+    takes the arrays to write (w', v') into, ``scratch`` two arrays shaped
+    like ``w`` for the displacement and its terms.
     """
-    disp, term = np.zeros_like(w), np.empty_like(w)
+    disp, term = scratch if scratch is not None else (np.empty_like(w), np.empty_like(w))
+    disp.fill(0.0)
     if c0 != 0.0:
         disp += np.multiply(c0, v, out=term)
     _add_pull(disp, term, c1, w_p, w)
@@ -355,9 +362,13 @@ def worker_step(
         part = np.stack(part) if len(part) > 1 else part[0][None]
         if collect_vectors:
             grads[rows] = part
+        # A run of one row takes its weights as scalars: numpy multiplies a
+        # row by a scalar faster than by a broadcast (1, 1) column.
+        c1_run, c2_run = (c1[lo], c2[lo]) if len(part) == 1 else (c1[rows, None], c2[rows, None])
+        scratch = crew.work.array("disp", part.shape), crew.work.array("term", part.shape)
         hybrid_update(
-            pop.w[rows], pop.v[rows], pop.w_p[rows], w_g, c0, c1[rows, None], c2[rows, None],
-            h.alpha, part, out=(w_new[rows], v_new[rows]),
+            pop.w[rows], pop.v[rows], pop.w_p[rows], w_g, c0, c1_run, c2_run, h.alpha, part,
+            out=(w_new[rows], v_new[rows]), scratch=scratch,
         )
         finite = np.isfinite(w_new[rows]).all(axis=1)
         if not finite.all():

@@ -333,7 +333,7 @@ def test_scoring_groups_and_wide_outputs_keep_every_bit(spec, monkeypatch, rng):
     whole = loss(spec, ws, batch)
     widest = max((*spec.hidden_dims, spec.num_classes))
     monkeypatch.setattr(model, "_SCORE_BUFFER_BYTES", 2 * 8 * n * widest)
-    work = model.ScoreWork()
+    work = model.Workspace()
     grouped = loss(spec, ws, batch, work=work)
     # the groups reuse one set of kept buffers, which change no result
     assert loss(spec, ws, batch, work=work).tobytes() == grouped.tobytes()
