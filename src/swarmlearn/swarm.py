@@ -362,13 +362,10 @@ def worker_step(
         part = np.stack(part) if len(part) > 1 else part[0][None]
         if collect_vectors:
             grads[rows] = part
-        # A run of one row takes its weights as scalars: numpy multiplies a
-        # row by a scalar faster than by a broadcast (1, 1) column.
-        c1_run, c2_run = (c1[lo], c2[lo]) if len(part) == 1 else (c1[rows, None], c2[rows, None])
         scratch = crew.work.array("disp", part.shape), crew.work.array("term", part.shape)
         hybrid_update(
-            pop.w[rows], pop.v[rows], pop.w_p[rows], w_g, c0, c1_run, c2_run, h.alpha, part,
-            out=(w_new[rows], v_new[rows]), scratch=scratch,
+            pop.w[rows], pop.v[rows], pop.w_p[rows], w_g, c0, c1[rows, None], c2[rows, None],
+            h.alpha, part, out=(w_new[rows], v_new[rows]), scratch=scratch,
         )
         finite = np.isfinite(w_new[rows]).all(axis=1)
         if not finite.all():
