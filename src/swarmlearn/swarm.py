@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -144,18 +145,24 @@ class StepInfos(Sequence):
         return len(self.ids)
 
     def __getitem__(self, u):
-        if isinstance(u, slice):
-            return [self[k] for k in range(*u.indices(len(self)))]
-        vectors = {name: rows[u] for name, rows in self.vectors.items()}
-        if vectors:
-            vectors["w_g_used"] = self.w_g_used
-        return StepInfo(
-            self.ids[u], self.c0, float(self.c1[u]), float(self.c2[u]),
-            float(self.batch_losses[u]), float(self.grad_sq[u]), **vectors,
-        )
+        return self._rows[u]
+
+    @cached_property
+    def _rows(self) -> tuple[StepInfo, ...]:
+        """The rows, built when first read: a round nobody inspects builds none."""
+        rows = []
+        for u, worker_id in enumerate(self.ids):
+            vectors = {name: stacked[u] for name, stacked in self.vectors.items()}
+            if vectors:
+                vectors["w_g_used"] = self.w_g_used
+            rows.append(StepInfo(
+                worker_id, self.c0, float(self.c1[u]), float(self.c2[u]),
+                float(self.batch_losses[u]), float(self.grad_sq[u]), **vectors,
+            ))
+        return tuple(rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+        return isinstance(other, Sequence) and self._rows == tuple(other)
 
 
 @dataclass(frozen=True)
