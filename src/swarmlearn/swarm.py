@@ -175,10 +175,10 @@ class Crew:
     has no table or the batch lengths differ. ``pool`` holds the training
     features and labels every pool indexes, the pools as one (U, P) index
     (flattened) and each row's start in it, None unless the pools are
-    equal-length ``Rows`` of one set and the draws are stacked. ``score`` is every worker's scoring set as one stacked
-    batch (broadcast views of a set all workers share), None when the sets
-    differ in length. ``work`` holds the buffers the step and scoring
-    phases reuse, kept for the run.
+    equal-length ``Rows`` of one set and the draws are stacked. ``score`` is
+    every worker's scoring set as one stacked batch (broadcast views of a
+    set all workers share), None when the sets differ in length. ``work``
+    holds the buffers the step and scoring phases reuse, kept for the run.
     """
 
     states: tuple[WorkerState, ...]
