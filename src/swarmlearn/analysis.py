@@ -8,6 +8,7 @@ into the protocol.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from .attacks import AttackSpec
 from .core import HyperParameters, inertia_schedule, require_finite
 from .data import emd
 from .model import Batch, ModelSpec, gradient, param_count
-from .swarm import ProtocolWiring, PsState, StepInfo, run_round
+from .swarm import Population, ProtocolWiring, PsState, StepInfo, StepInfos, run_round
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,31 +90,25 @@ class CosineStats:
         self.grad_sq_count = 0
         self.grad_sq_min = math.inf
 
-    def consume_round(self, infos: tuple[StepInfo, ...]) -> dict[str, float]:
+    def consume_round(self, infos: Sequence[StepInfo]) -> dict[str, float]:
         """Fold one round of step logs in; returns the round's diagnostic row.
 
-        The vectors are stacked as (U, D) rows and every norm, dot and
-        residual is taken over the rows at once. The values are folded into
-        the extrema in worker order with Python's ``min``/``max``, as one
-        worker at a time would.
+        ``infos`` is a round's ``StepInfos``, whose (U,) and (U, D) arrays
+        are read as they are, or ``StepInfo`` rows, which are stacked. Every
+        norm, dot and residual is taken over the rows at once. The values
+        are folded into the extrema in worker order with Python's
+        ``min``/``max``, as one worker at a time would.
         """
-        w_pre, w_post, v_pre, v_post, w_p, grad = (
-            np.array([getattr(info, name) for info in infos])
-            for name in ("w_pre", "w_post", "v_pre", "v_post", "w_p_pre", "grad")
-        )
-        coefficients = np.array([(info.c0, info.c1, info.c2) for info in infos])
-        c0, c1, c2 = coefficients[:, 0:1], coefficients[:, 1:2], coefficients[:, 2:3]
-        grad_sqs = [info.grad_sq for info in infos]
+        w_pre, w_post, v_pre, v_post, w_p, grad, c0, c1, c2, grad_sqs, w_g = _round_arrays(infos)
         for grad_sq in grad_sqs:
             self.grad_sq_sum += grad_sq
         self.grad_sq_count += len(grad_sqs)
         self.grad_sq_min = min(self.grad_sq_min, *grad_sqs)
 
-        # Personal/global optimal velocities relative to the previous position.
+        # Personal/global optimal velocities relative to the previous position;
+        # a step without a global best has none to move toward.
         w_prev = w_pre - v_pre
-        w_g = np.array([info.w_g_used if info.w_g_used is not None else prev
-                        for info, prev in zip(infos, w_prev)])
-        v_p, v_g = w_p - w_prev, w_g - w_prev
+        v_p, v_g = w_p - w_prev, (w_prev if w_g is None else w_g) - w_prev
         recon = -self.h.alpha * grad
         recon = recon + (c0 - c1 - c2) * v_pre
         recon = recon + c1 * v_p + c2 * v_g
@@ -156,6 +151,26 @@ class CosineStats:
     @property
     def min_grad_sq(self) -> float:
         return self.grad_sq_min if self.grad_sq_count else math.nan
+
+
+_VECTORS = ("w_pre", "w_post", "v_pre", "v_post", "w_p_pre", "grad")
+
+
+def _round_arrays(infos: Sequence[StepInfo]):
+    """A round's step vectors as (U, D) arrays, the coefficients (c0, c1,
+    c2) as columns or scalars, the squared gradient norms as floats and
+    the global best the steps used: None, one (D,) vector, or rows per
+    worker (a worker's own previous position where it had none)."""
+    if isinstance(infos, StepInfos):
+        return (*(infos.vectors[name] for name in _VECTORS), infos.c0, infos.c1[:, None],
+                infos.c2[:, None], infos.grad_sq.tolist(), infos.w_g_used)
+    stacks = [np.array([getattr(info, name) for info in infos]) for name in _VECTORS]
+    coefficients = np.array([(info.c0, info.c1, info.c2) for info in infos])
+    w_prev = stacks[0] - stacks[2]
+    w_g = np.array([info.w_g_used if info.w_g_used is not None else prev
+                    for info, prev in zip(infos, w_prev)])
+    return (*stacks, coefficients[:, 0:1], coefficients[:, 1:2], coefficients[:, 2:3],
+            [info.grad_sq for info in infos], w_g)
 
 
 def phi_e(h: HyperParameters, stats: CosineStats, lipschitz: float) -> float:
@@ -361,31 +376,32 @@ def run_genie_aligned(
     """
     per_class = class_batches(population, num_classes)
     wiring = ProtocolWiring(h, spec, None, False, AttackSpec())
-    w_dist = np.zeros((len(workers), rounds + 1))
-    v_dist = np.zeros((len(workers), rounds + 1))
-    coeffs = np.zeros((len(workers), rounds, 3))
+    pop = Population.of(workers)
+    w_dist = np.zeros((len(pop), rounds + 1))
+    v_dist = np.zeros((len(pop), rounds + 1))
+    coeffs = np.zeros((len(pop), rounds, 3))
     f_max = np.zeros(rounds)
     snapshots = []
 
-    def _record(t, states, g):
-        w_dist[:, t] = row_norms(np.stack([st.w for st in states]) - g.w)
-        v_dist[:, t] = row_norms(np.stack([st.v for st in states]) - g.v)
+    def _record(t, g):
+        w_dist[:, t] = row_norms(pop.w - g.w)
+        v_dist[:, t] = row_norms(pop.v - g.v)
 
-    states = sorted(workers, key=lambda st: st.worker_id)
-    _record(0, states, genie)
+    _record(0, genie)
     every = max(1, rounds // 8)
     for t in range(rounds):
         f_max[t] = f_max_at(spec, genie.w, per_class)
         if t % every == 0:
             snapshots.append(genie.w.copy())
-            snapshots.append(states[0].w.copy())
-        states, _, outcome = run_round(states, PsState(genie.w, -math.inf), wiring, t)
-        coeffs[:, t] = [(info.c0, info.c1, info.c2) for info in outcome.step_infos]
+            snapshots.append(pop.w[0].copy())
+        pop, _, outcome = run_round(pop, PsState(genie.w, -math.inf), wiring, t)
+        infos = outcome.step_infos
+        coeffs[:, t, 0], coeffs[:, t, 1], coeffs[:, t, 2] = infos.c0, infos.c1, infos.c2
         genie = genie_step(genie, h, spec, population, t)
-        _record(t + 1, states, genie)
+        _record(t + 1, genie)
 
     trace = AlignedTrace(w_dist, v_dist, coeffs, f_max, np.array(snapshots))
-    return states, genie, trace
+    return pop, genie, trace
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .experiment import (
     population_batch,
 )
 from .model import Batch, accuracy, loss_and_gradient
-from .swarm import Population, ProtocolWiring, RoundOutcome, initial_ps, run_round
+from .swarm import Crew, Population, ProtocolWiring, RoundOutcome, initial_ps, run_round
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def run_variant(
     shared = setup.shared
     (row,) = check_variants(
         (variant,), h.num_workers, attack,
-        len(shared.train) if shared is not None else 0,
+        len(shared.train_indices) if shared is not None else 0,
         len(shared.score) if shared is not None else 0,
     )
     if row.swarm:
@@ -193,24 +193,31 @@ def run_variant(
     )
 
 
-def _divergence_row(worker_ws, genie):
+def _divergence_row(worker_ws: np.ndarray, genie):
     gnorm = float(np.linalg.norm(genie.w))
     if gnorm == 0.0:
         return {"divergence_mean": math.nan, "divergence_max": math.nan}
-    divs = analysis.row_norms(np.stack(worker_ws) - genie.w) / gnorm
+    divs = analysis.row_norms(worker_ws - genie.w) / gnorm
     return {"divergence_mean": float(np.mean(divs)), "divergence_max": float(np.max(divs))}
 
 
 def _swarm_rounds(row: Variant, setup, h, attack, verification, collect_vectors):
-    """Swarm protocol rounds, each as (outcome, model to test, worker models);
-    the model to test is the global best, None until one exists. The workers
-    are one population from the first round on."""
-    workers = make_workers(setup, h, row.global_train, row.score)
+    """Swarm protocol rounds, each as (outcome, model to test, (U, D) worker
+    models); the model to test is the global best, None until one exists.
+    The workers are one population, its rows built here once and advanced
+    in place by every round, so a round's worker models are valid until the
+    next one."""
+    workers = make_workers(setup, h, row.global_train, row.score, vectors=False)
     if attack.active:
         workers = [
             replace(w, is_byzantine=w.worker_id in attack.attacker_ids) for w in workers
         ]
-    workers = Population.of(workers)
+    # one copy of the start for every row (a shared start is broadcast)
+    w = np.empty((h.num_workers, setup.init_w.shape[-1]))
+    w[...] = setup.init_w
+    pop = Population(
+        Crew.of(tuple(workers)), w, np.zeros_like(w), w.copy(), np.array([s.f_p for s in workers])
+    )
     shared_score = setup.shared.score.as_batch() if row.score == "shared" else None
     wiring = ProtocolWiring(
         hyper=h,
@@ -221,8 +228,8 @@ def _swarm_rounds(row: Variant, setup, h, attack, verification, collect_vectors)
     )
     ps = initial_ps()
     for t in range(h.rounds):
-        workers, ps, outcome = run_round(workers, ps, wiring, t, collect_vectors=collect_vectors)
-        yield outcome, ps.w_g, workers.w
+        pop, ps, outcome = run_round(pop, ps, wiring, t, collect_vectors=collect_vectors)
+        yield outcome, ps.w_g, pop.w
 
 
 def _fedavg_rounds(row: Variant, setup, h):
@@ -237,4 +244,4 @@ def _fedavg_rounds(row: Variant, setup, h):
             f_g=math.nan, batch_losses=losses, scalar_uplinks=0, vector_uplinks=len(workers),
             vector_broadcasts=1, detections=0, step_infos=(),
         )
-        yield outcome, w, [w] * len(workers)
+        yield outcome, w, np.broadcast_to(w, (len(workers), w.size))

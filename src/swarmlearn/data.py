@@ -89,12 +89,21 @@ class PartitionPlan:
 
 @dataclass(frozen=True)
 class GlobalShared:
-    """Held-out data shared by everyone: a training part and a scoring part."""
+    """Held-out data shared by everyone: a training part and a scoring part.
 
-    train: Dataset
+    The scoring part is a copy, scored every round. The training part is
+    rows ``train_indices`` of ``source``, gathered when ``train`` is read:
+    the worker pools index ``source`` directly.
+    """
+
+    source: Dataset
     score: Dataset
     train_indices: np.ndarray
     score_indices: np.ndarray
+
+    @property
+    def train(self) -> Dataset:
+        return self.source.subset(self.train_indices)
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -227,7 +236,7 @@ def build_global_shared(
     train_idx = stratified_sample(ds, n_train, taken, rng)
     taken |= set(int(i) for i in train_idx)
     score_idx = stratified_sample(ds, n_score, taken, rng)
-    return GlobalShared(ds.subset(train_idx), ds.subset(score_idx), train_idx, score_idx)
+    return GlobalShared(ds, ds.subset(score_idx), train_idx, score_idx)
 
 
 def label_histogram(data, num_classes: int | None = None) -> np.ndarray:

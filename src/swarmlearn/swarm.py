@@ -9,10 +9,12 @@ forgeries. A rejected upload blacklists its sender and the next claim is
 invited; the first accepted one is broadcast as the new global best.
 Communication is metered per round.
 
-The workers of a round form one ``Population``: positions, velocities and
-personal bests as (U, D) rows and best scores as (U,), in worker-id order.
-The step phase takes one gradient kernel call per worker and updates the rows
-together; the scoring phase scores every worker in one stacked ``loss`` call.
+The workers of a run form one ``Population``: positions, velocities and
+personal bests as (U, D) rows and best scores as (U,), in worker-id order,
+one set of arrays that every round advances in place. The step phase takes
+one gradient kernel call per worker and updates the rows together; the
+scoring phase scores every worker in one stacked ``loss`` call and copies
+the rows that improved into the personal bests.
 """
 from __future__ import annotations
 
@@ -129,8 +131,9 @@ class ProtocolWiring:
 class StepInfos(Sequence):
     """One round's step quantities as (U,) and (U, D) arrays, read as a
     sequence of ``StepInfo`` rows in worker-id order. ``vectors`` maps the
-    StepInfo vector fields but ``w_g_used`` to (U, D) arrays; it is empty
-    unless the round collected vectors."""
+    StepInfo vector fields but ``w_g_used`` to (U, D) arrays of the round's
+    own, which later rounds leave as they are; it is empty unless the round
+    collected vectors."""
 
     ids: tuple[int, ...]
     c0: float
@@ -243,11 +246,12 @@ class Crew:
 
 @dataclass(frozen=True, eq=False)
 class Population(Sequence):
-    """A round's workers as rows: (U, D) positions ``w``, velocities ``v``
+    """A run's workers as rows: (U, D) positions ``w``, velocities ``v``
     and personal bests ``w_p`` and (U,) best scores ``f_p``, in worker-id
-    order. It reads as a sequence of ``WorkerState`` views, one per worker.
-    The arrays are read-only: a round makes new ones and never writes into
-    those of an earlier round."""
+    order. The arrays are kept for the whole run: every round advances them
+    in place. The population reads as a sequence of read-only
+    ``WorkerState`` views, one per worker, valid until the next round; copy
+    what is read after it."""
 
     crew: Crew
     w: np.ndarray
@@ -255,14 +259,11 @@ class Population(Sequence):
     w_p: np.ndarray
     f_p: np.ndarray
 
-    def __post_init__(self):
-        for rows in (self.w, self.v, self.w_p, self.f_p):
-            rows.flags.writeable = False
-
     @classmethod
     def of(cls, states) -> Population:
-        """The population of worker states given in any order. The crew
-        keeps the states without their vectors, which the rows replace."""
+        """The population of worker states given in any order. The rows are
+        copies of the states' vectors, so no round writes the states; the
+        crew keeps the states without their vectors."""
         states = sorted(states, key=lambda s: s.worker_id)
         rows = [np.array([getattr(s, name) for s in states], dtype=np.float64)
                 for name in ("w", "v", "w_p", "f_p")]
@@ -275,8 +276,10 @@ class Population(Sequence):
     def __getitem__(self, u):
         if isinstance(u, slice):
             return [self[k] for k in range(*u.indices(len(self)))]
-        return replace(self.crew.states[u], w=self.w[u], v=self.v[u], w_p=self.w_p[u],
-                       f_p=float(self.f_p[u]))
+        w, v, w_p = self.w[u], self.v[u], self.w_p[u]
+        for view in (w, v, w_p):
+            view.flags.writeable = False
+        return replace(self.crew.states[u], w=w, v=v, w_p=w_p, f_p=float(self.f_p[u]))
 
 
 def hybrid_update(
@@ -300,8 +303,9 @@ def hybrid_update(
     plain SGD. ``w``, ``v``, ``w_p`` and ``grad`` may be (U, D) rows with
     ``c1`` and ``c2`` (U, 1) columns; a zero then skips its term in its own
     row, so every row is bit-equal to the update of that row alone. ``out``
-    takes the arrays to write (w', v') into, ``scratch`` two arrays shaped
-    like ``w`` for the displacement and its terms.
+    takes the arrays to write (w', v') into (v' may go into ``v`` itself,
+    which is read before v' is written), ``scratch`` two arrays shaped like
+    ``w`` for the displacement and its terms.
     """
     disp, term = scratch if scratch is not None else (np.empty_like(w), np.empty_like(w))
     disp.fill(0.0)
@@ -338,12 +342,15 @@ def worker_step(
     collect_vectors: bool = False,
 ) -> tuple[Population, StepInfos]:
     """The round's step phase: every worker takes one hybrid update at the
-    current global best. Returns the moved population and the step infos.
+    current global best, written into the population's rows. Returns the
+    population and the step infos.
 
     Each gradient is a mini-batch estimate taken at the worker's
     pre-update parameters, one kernel call per worker; the social pull is
     suppressed until a global best exists. The rows are updated in runs that
-    fit ``_ROW_BUDGET_BYTES``, and a non-finite row names its worker.
+    fit ``_ROW_BUDGET_BYTES``, through the crew's scratch buffers. A
+    non-finite row names its worker and leaves the population partly
+    stepped.
     """
     crew = pop.crew
     c0 = inertia_schedule(h, t)
@@ -352,8 +359,9 @@ def worker_step(
         c2 = np.zeros_like(c1)
     count, dim = pop.w.shape
     batch_losses, grad_sq = np.empty(count), np.empty(count)
-    w_new, v_new = np.empty((count, dim)), np.empty((count, dim))
-    grads = np.empty((count, dim)) if collect_vectors else None
+    vectors = dict(
+        w_pre=pop.w.copy(), v_pre=pop.v.copy(), w_p_pre=pop.w_p.copy(), grad=np.empty((count, dim)),
+    ) if collect_vectors else {}
     run = max(1, _ROW_BUDGET_BYTES // (8 * dim))
     for lo in range(0, count, run):
         rows = slice(lo, min(count, lo + run))
@@ -368,42 +376,40 @@ def worker_step(
             part.append(grad)
         part = np.stack(part) if len(part) > 1 else part[0][None]
         if collect_vectors:
-            grads[rows] = part
+            vectors["grad"][rows] = part
+        # v' needs w as it was, so w' is formed in scratch and copied in
+        w, v, w_new = pop.w[rows], pop.v[rows], crew.work.array("w_new", part.shape)
         scratch = crew.work.array("disp", part.shape), crew.work.array("term", part.shape)
         hybrid_update(
-            pop.w[rows], pop.v[rows], pop.w_p[rows], w_g, c0, c1[rows, None], c2[rows, None],
-            h.alpha, part, out=(w_new[rows], v_new[rows]), scratch=scratch,
+            w, v, pop.w_p[rows], w_g, c0, c1[rows, None], c2[rows, None], h.alpha, part,
+            out=(w_new, v), scratch=scratch,
         )
-        finite = np.isfinite(w_new[rows]).all(axis=1)
+        finite = np.isfinite(w_new).all(axis=1)
         if not finite.all():
             worker = crew.ids[lo + int(finite.argmin())]
             raise NonFiniteError(
                 f"round {t}, worker {worker}: non-finite values in worker {worker} "
                 f"parameters at round {t}"
             )
+        w[...] = w_new
 
-    vectors = dict(
-        w_pre=pop.w, w_post=w_new, v_pre=pop.v, v_post=v_new, w_p_pre=pop.w_p, grad=grads,
-    ) if collect_vectors else {}
-    infos = StepInfos(crew.ids, c0, c1, c2, batch_losses, grad_sq, w_g, vectors)
-    return replace(pop, w=w_new, v=v_new), infos
+    if collect_vectors:
+        vectors.update(w_post=pop.w.copy(), v_post=pop.v.copy())
+    return pop, StepInfos(crew.ids, c0, c1, c2, batch_losses, grad_sq, w_g, vectors)
 
 
 def score_and_update_best(pop: Population, spec: ModelSpec) -> Population:
     """The round's scoring phase: every worker scores its current model,
-    all in one stacked ``loss`` call, and keeps (f_p, w_p) where strictly
-    better."""
+    all in one stacked ``loss`` call; the workers that scored strictly
+    better copy their score and row into (f_p, w_p)."""
     crew = pop.crew
     if crew.score is not None:
         scores = loss(spec, pop.w, crew.score, work=crew.work)
     else:
         scores = np.array([loss(spec, pop.w[u], s.score_set) for u, s in enumerate(crew.states)])
-    better = scores < pop.f_p
-    if not better.any():
-        return pop
-    return replace(
-        pop, f_p=np.where(better, scores, pop.f_p), w_p=np.where(better[:, None], pop.w, pop.w_p)
-    )
+    for u in np.flatnonzero(scores < pop.f_p):
+        pop.f_p[u], pop.w_p[u] = scores[u], pop.w[u]
+    return pop
 
 
 def invitation_order(reports: list[ScalarReport], f_g: float) -> list[int]:
@@ -440,21 +446,22 @@ def run_round(
 ) -> tuple[Population, PsState, RoundOutcome]:
     """One full protocol round. Worker phase order does not affect the result.
 
-    ``workers`` is the ``Population`` the previous round returned, or worker
-    states in any order, which are stacked into one first.
+    ``workers`` is the ``Population`` an earlier round returned, which this
+    round advances in place and returns, or worker states in any order,
+    which are copied into a new population first and left as they are.
     """
     h, spec, attack = wiring.hyper, wiring.spec, wiring.attack
     pop = workers if isinstance(workers, Population) else Population.of(workers)
 
     # Worker phase. Blacklisted workers still train but no longer report.
-    moved, infos = worker_step(pop, ps.w_g, h, spec, t, collect_vectors)
-    scored = score_and_update_best(moved, spec)
-    crew = scored.crew
+    _, infos = worker_step(pop, ps.w_g, h, spec, t, collect_vectors)
+    score_and_update_best(pop, spec)
+    crew = pop.crew
     reports, claimants = [], []
     for u, worker_id in enumerate(crew.ids):
         if worker_id in ps.blacklist:
             continue
-        report = ScalarReport(worker_id, float(scored.f_p[u]))
+        report = ScalarReport(worker_id, float(pop.f_p[u]))
         if crew.byzantine[u] and attack.active:
             report = attacks.forge_report(report, ps.f_g, attack.strategy)
         reports.append(report)
@@ -467,7 +474,7 @@ def run_round(
     vector_uplinks = 0
     for i in invitation_order(reports, ps.f_g):
         report = reports[i]
-        upload = _upload_for(scored, claimants[i], wiring, t)
+        upload = _upload_for(pop, claimants[i], wiring, t)
         vector_uplinks += 1
         if not wiring.can_verify:
             # No scoring data at the server (or verification ablated): trust the claim.
@@ -489,7 +496,7 @@ def run_round(
         detections=len(blacklist) - len(ps.blacklist),
         step_infos=infos,
     )
-    return scored, PsState(w_g, f_g, blacklist), outcome
+    return pop, PsState(w_g, f_g, blacklist), outcome
 
 
 def initial_ps() -> PsState:

@@ -283,6 +283,39 @@ class TestRunVariant:
         # ten pool copies would be ten times this
         assert peak < one_pool_bytes
 
+    @staticmethod
+    def wide_rows_setup():
+        """A world whose (U, D) worker rows outweigh the data a run touches."""
+        cfg = DataConfig(classes=10, per_class=60, dim=2000, test_per_class=5, partition="iid",
+                         per_worker=30, global_train=50, global_score=50)
+        h = HyperParameters(rounds=4, num_workers=10, batch_size=5)
+        setup = build_setup(cfg, "softmax_regression", (), h, 1)
+        return setup, h, h.num_workers * param_count(setup.spec) * 8
+
+    def test_swarm_rounds_keep_one_set_of_rows(self):
+        # w, v and w_p are built once and advanced in place: fresh rows each
+        # round, or per-worker copies stacked again, would pass six arrays
+        setup, h, rows_bytes = self.wide_rows_setup()
+        tracemalloc.start()
+        try:
+            result = run_variant("cbdsl_full", setup, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == h.rounds
+        assert peak < 4 * rows_bytes
+
+    def test_fedavg_workers_carry_no_vectors(self):
+        setup, h, rows_bytes = self.wide_rows_setup()
+        tracemalloc.start()
+        try:
+            workers = make_workers(setup, h, False, "none")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(w.w is None and w.v is None and w.w_p is None for w in workers)
+        assert peak < rows_bytes / 10
+
     @pytest.mark.parametrize("init_mode, scored", [("shared", 1), ("per_worker", 4)])
     def test_initial_scores(self, monkeypatch, init_mode, scored):
         # a shared start on the shared scoring set is one score for every worker

@@ -166,7 +166,8 @@ class TestWorkerStep:
         setup, h, workers, wiring = swarm_world(seed=4)
         ps = initial_ps()
         for t in range(h.rounds):
-            prev = {w.worker_id: w.w for w in workers}
+            # a population's rows move in place: keep a copy of the round's w
+            prev = {w.worker_id: w.w.copy() for w in workers}
             workers, ps, _ = run_round(workers, ps, wiring, t)
             for w in workers:
                 assert np.array_equal(w.v, w.w - prev[w.worker_id])
@@ -277,7 +278,7 @@ class TestVerification:
 class TestPopulation:
     def test_rows_read_as_worker_state_views(self):
         setup, h, workers, wiring = swarm_world(seed=9)
-        pop, _, outcome = run_round(workers, initial_ps(), wiring, 0)
+        pop, ps, outcome = run_round(workers, initial_ps(), wiring, 0)
         assert isinstance(pop, Population) and len(pop) == len(outcome.step_infos) == h.num_workers
         for u, state in enumerate(pop):
             assert isinstance(state, WorkerState) and state.worker_id == u
@@ -288,15 +289,42 @@ class TestPopulation:
             pop[0].w[0] = 1.0
         with pytest.raises(TypeError):
             pop[0] = workers[0]
+        # a view is valid until the next round, which moves the row under it;
+        # a copy keeps the round's value
+        view, kept = pop[0].w, pop[0].w.copy()
+        run_round(pop, ps, wiring, 1)
+        assert view.tobytes() == pop.w[0].tobytes() != kept.tobytes()
 
     def test_a_round_leaves_its_input_as_it_was(self):
+        # a hand-built list is copied and never written; a population is
+        # advanced in place and returned, its arrays kept for the run
         setup, h, workers, wiring = swarm_world(seed=9)
         before = [(s.w.tobytes(), s.v.tobytes(), s.w_p.tobytes(), s.f_p) for s in workers]
         pop, ps, _ = run_round(workers, initial_ps(), wiring, 0)
-        rows = pop.w.tobytes(), pop.w_p.tobytes()
-        run_round(pop, ps, wiring, 1)
+        arrays, moved = (pop.w, pop.v, pop.w_p, pop.f_p), pop.w.copy()
+        again, _, _ = run_round(pop, ps, wiring, 1)
         assert [(s.w.tobytes(), s.v.tobytes(), s.w_p.tobytes(), s.f_p) for s in workers] == before
-        assert (pop.w.tobytes(), pop.w_p.tobytes()) == rows
+        assert again is pop
+        assert all(now is then for now, then in zip((pop.w, pop.v, pop.w_p, pop.f_p), arrays))
+        assert pop.w.tobytes() != moved.tobytes()
+
+    def test_step_vectors_outlive_the_round(self):
+        # the vectors a round collects are its own: the next round, which
+        # moves the rows in place, leaves them as they were
+        setup, h, workers, wiring = swarm_world(seed=9)
+        pop, ps, _ = run_round(workers, initial_ps(), wiring, 0)
+        entering = pop.w.copy(), pop.v.copy(), pop.w_p.copy()
+        pop, ps, outcome = run_round(pop, ps, wiring, 1, collect_vectors=True)
+        vectors = outcome.step_infos.vectors
+        snapshot = {name: rows.tobytes() for name, rows in vectors.items()}
+        assert [vectors[name].tobytes() for name in ("w_pre", "v_pre", "w_p_pre")] == \
+            [rows.tobytes() for rows in entering]
+        assert vectors["w_post"].tobytes() == pop.w.tobytes()
+        assert vectors["v_post"].tobytes() == pop.v.tobytes()
+        run_round(pop, ps, wiring, 2)
+        assert {name: rows.tobytes() for name, rows in vectors.items()} == snapshot
+        assert not any(np.shares_memory(rows, pop.w) or np.shares_memory(rows, pop.v)
+                       or np.shares_memory(rows, pop.w_p) for rows in vectors.values())
 
     def test_step_infos_read_the_round_arrays(self):
         setup, h, workers, wiring = swarm_world(seed=9)
