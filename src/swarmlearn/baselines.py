@@ -25,7 +25,7 @@ from .experiment import (
     population_batch,
 )
 from .model import Batch, accuracy, loss_and_gradient
-from .swarm import Crew, Population, ProtocolWiring, RoundOutcome, initial_ps, run_round
+from .swarm import Population, ProtocolWiring, RoundOutcome, initial_ps, run_round
 
 
 @dataclass(frozen=True)
@@ -204,20 +204,15 @@ def _divergence_row(worker_ws: np.ndarray, genie):
 def _swarm_rounds(row: Variant, setup, h, attack, verification, collect_vectors):
     """Swarm protocol rounds, each as (outcome, model to test, (U, D) worker
     models); the model to test is the global best, None until one exists.
-    The workers are one population, its rows built here once and advanced
-    in place by every round, so a round's worker models are valid until the
-    next one."""
-    workers = make_workers(setup, h, row.global_train, row.score, vectors=False)
+    The workers are one population, its rows copied once from the workers'
+    start and advanced in place by every round, so a round's worker models
+    are valid until the next one."""
+    workers = make_workers(setup, h, row.global_train, row.score)
     if attack.active:
         workers = [
             replace(w, is_byzantine=w.worker_id in attack.attacker_ids) for w in workers
         ]
-    # one copy of the start for every row (a shared start is broadcast)
-    w = np.empty((h.num_workers, setup.init_w.shape[-1]))
-    w[...] = setup.init_w
-    pop = Population(
-        Crew.of(tuple(workers)), w, np.zeros_like(w), w.copy(), np.array([s.f_p for s in workers])
-    )
+    pop = Population.of(workers)
     shared_score = setup.shared.score.as_batch() if row.score == "shared" else None
     wiring = ProtocolWiring(
         hyper=h,

@@ -217,12 +217,12 @@ def make_workers(
     h: HyperParameters,
     with_global_train: bool,
     score_mode: str,            # "shared" | "local" | "none"
-    vectors: bool = True,
 ) -> list[WorkerState]:
     """The run's workers in worker-id order. Swarm workers (a ``score_mode``
-    other than "none") carry their own start ``w``, zero ``v`` and ``w_p``
-    unless ``vectors`` is False, for a caller that builds the population's
-    rows itself; FedAvg workers hold no model of their own and carry none."""
+    other than "none") carry their start as ``w`` and ``w_p`` and a zero
+    ``v``, all read-only views of the setup's start and of one zero vector:
+    ``Population.of`` copies them into the run's rows. FedAvg workers hold
+    no model of their own and carry none."""
     if score_mode == "shared" and (setup.shared is None or not len(setup.shared.score)):
         raise ValueError("missing global scoring dataset (global_score)")
     # one scoring Batch for every worker; None when score_mode is "none"
@@ -233,14 +233,18 @@ def make_workers(
         setup.seed, range(h.num_workers), [len(labels) for _, labels in pools], h,
         coefficients=score_mode != "none",
     )
-    own = vectors and score_mode != "none"
+    zero = None
+    if score_mode != "none":
+        zero = np.zeros(param_count(setup.spec))
+        zero.flags.writeable = False
     workers = []
     for i, (features, labels) in enumerate(pools):
         if score_mode == "local":
             # scored every round, so it stays a contiguous copy
             local_idx = setup.plan.worker_indices[i]
             score_set = Batch(setup.train.features[local_idx], setup.train.labels[local_idx])
-        w0 = setup.init_w if setup.init_mode == "shared" else setup.init_w[i]
+        w0 = (setup.init_w if setup.init_mode == "shared" else setup.init_w[i]).view()
+        w0.flags.writeable = False
         if score_set is None:
             f_p = math.inf
         elif workers and score_mode == "shared" and setup.init_mode == "shared":
@@ -250,9 +254,9 @@ def make_workers(
         workers.append(
             WorkerState(
                 worker_id=i,
-                w=w0.copy() if own else None,
-                v=np.zeros(param_count(setup.spec)) if own else None,
-                w_p=w0.copy() if own else None,
+                w=w0 if zero is not None else None,
+                v=zero,
+                w_p=w0 if zero is not None else None,
                 f_p=f_p,
                 train_features=features,
                 train_labels=labels,

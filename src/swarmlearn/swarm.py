@@ -304,8 +304,9 @@ def hybrid_update(
     ``c1`` and ``c2`` (U, 1) columns; a zero then skips its term in its own
     row, so every row is bit-equal to the update of that row alone. ``out``
     takes the arrays to write (w', v') into (v' may go into ``v`` itself,
-    which is read before v' is written), ``scratch`` two arrays shaped like
-    ``w`` for the displacement and its terms.
+    which is read before v' is written, and w' into the second scratch
+    array, free once the displacement is formed), ``scratch`` two arrays
+    shaped like ``w`` for the displacement and its terms.
     """
     disp, term = scratch if scratch is not None else (np.empty_like(w), np.empty_like(w))
     disp.fill(0.0)
@@ -377,12 +378,13 @@ def worker_step(
         part = np.stack(part) if len(part) > 1 else part[0][None]
         if collect_vectors:
             vectors["grad"][rows] = part
-        # v' needs w as it was, so w' is formed in scratch and copied in
-        w, v, w_new = pop.w[rows], pop.v[rows], crew.work.array("w_new", part.shape)
-        scratch = crew.work.array("disp", part.shape), crew.work.array("term", part.shape)
+        # v' needs w as it was, so w' is formed in the scratch that held the
+        # displacement's terms and copied in
+        w, v = pop.w[rows], pop.v[rows]
+        disp, w_new = crew.work.array("disp", part.shape), crew.work.array("term", part.shape)
         hybrid_update(
             w, v, pop.w_p[rows], w_g, c0, c1[rows, None], c2[rows, None], h.alpha, part,
-            out=(w_new, v), scratch=scratch,
+            out=(w_new, v), scratch=(disp, w_new),
         )
         finite = np.isfinite(w_new).all(axis=1)
         if not finite.all():

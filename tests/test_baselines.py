@@ -22,7 +22,7 @@ from swarmlearn.baselines import (
     run_variant,
 )
 from swarmlearn.cli import COSINE_COLUMNS, DIVERGENCE_COLUMNS
-from swarmlearn.swarm import ProtocolWiring, initial_ps, run_round
+from swarmlearn.swarm import Population, ProtocolWiring, initial_ps, run_round
 
 SMALL = DataConfig(
     classes=4, per_class=250, dim=5, separation=6.0, test_per_class=25,
@@ -315,6 +315,27 @@ class TestRunVariant:
             tracemalloc.stop()
         assert all(w.w is None and w.v is None and w.w_p is None for w in workers)
         assert peak < rows_bytes / 10
+
+    def test_swarm_workers_share_the_start(self):
+        # swarm workers hold read-only views of the start and one zero
+        # velocity; Population.of makes the run's only copy
+        setup, h, rows_bytes = self.wide_rows_setup()
+        tracemalloc.start()
+        try:
+            workers = make_workers(setup, h, True, "shared")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the scoring set and the zero vector; per-worker copies of w alone
+        # would be one (U, D) array
+        assert peak < rows_bytes / 2
+        for s in workers:
+            assert s.w is s.w_p and s.v is workers[0].v and not s.v.any()
+            assert np.shares_memory(s.w, setup.init_w) and not s.w.flags.writeable
+            assert not s.v.flags.writeable
+        pop = Population.of(workers)
+        assert not any(np.shares_memory(rows, setup.init_w) or np.shares_memory(rows, workers[0].v)
+                       for rows in (pop.w, pop.v, pop.w_p))
 
     @pytest.mark.parametrize("init_mode, scored", [("shared", 1), ("per_worker", 4)])
     def test_initial_scores(self, monkeypatch, init_mode, scored):

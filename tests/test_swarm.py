@@ -198,20 +198,24 @@ class TestScoreAndBest:
     def test_first_score_replaces_sentinel(self):
         setup, h, workers, _ = swarm_world(seed=6)
         pop = Population.of([replace(workers[0], f_p=math.inf), *workers[1:]])
+        # scoring writes in place: keep the others' bests as they were
+        before = pop.f_p[1:].tobytes(), pop.w_p[1:].tobytes()
         scored = score_and_update_best(pop, setup.spec)
         assert math.isfinite(scored.f_p[0])
         assert scored.f_p[0] == loss(setup.spec, workers[0].w, workers[0].score_set)
         assert np.array_equal(scored.w_p[0], scored.w[0])
         # the others scored their starting point already: nothing better
-        assert scored.f_p[1:].tobytes() == pop.f_p[1:].tobytes()
+        assert (scored.f_p[1:].tobytes(), scored.w_p[1:].tobytes()) == before
 
     def test_equal_score_keeps_old_best(self):
+        # every best holds other parameters than w at exactly the score w
+        # earns: an equal score is no improvement, so no best moves
         setup, h, workers, _ = swarm_world(seed=6)
-        scored = score_and_update_best(Population.of(workers), setup.spec)
-        # scoring the same parameters again produces the same value: no update
-        again = score_and_update_best(scored, setup.spec)
-        assert again is scored
-        assert again.w_p is scored.w_p and again.f_p is scored.f_p
+        pop = Population.of([replace(s, w_p=s.w_p + 1.0) for s in workers])
+        pop.f_p[:] = loss(setup.spec, pop.w, pop.crew.score)
+        before = pop.w_p.tobytes(), pop.f_p.tobytes()
+        assert score_and_update_best(pop, setup.spec) is pop
+        assert (pop.w_p.tobytes(), pop.f_p.tobytes()) == before
 
     def test_one_stacked_score_per_round(self, monkeypatch):
         # every worker's score comes from one loss call over a (U, D) stack,
