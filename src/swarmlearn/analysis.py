@@ -8,7 +8,6 @@ into the protocol.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ from .attacks import AttackSpec
 from .core import HyperParameters, inertia_schedule, require_finite
 from .data import emd
 from .model import Batch, ModelSpec, gradient, param_count
-from .swarm import Population, ProtocolWiring, PsState, StepInfo, StepInfos, run_round
+from .swarm import Population, ProtocolWiring, PsState, StepInfos, run_round
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -25,8 +24,12 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     One stacked matmul of (1, D) @ (D, 1) slices runs the same dot product
     per row as ``@`` on the rows alone; ``(a * b).sum(axis=1)`` and
-    ``np.einsum`` sum in other orders.
+    ``np.einsum`` sum in other orders. That holds for C-ordered rows only (a
+    column-major array gives other last bits), so any other layout is a
+    ValueError.
     """
+    if not (a.flags.c_contiguous and b.flags.c_contiguous):
+        raise ValueError("row_dots needs C-contiguous (U, D) arrays")
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
@@ -90,16 +93,19 @@ class CosineStats:
         self.grad_sq_count = 0
         self.grad_sq_min = math.inf
 
-    def consume_round(self, infos: Sequence[StepInfo]) -> dict[str, float]:
+    def consume_round(self, infos: StepInfos) -> dict[str, float]:
         """Fold one round of step logs in; returns the round's diagnostic row.
 
         ``infos`` is a round's ``StepInfos``, whose (U,) and (U, D) arrays
-        are read as they are, or ``StepInfo`` rows, which are stacked. Every
-        norm, dot and residual is taken over the rows at once. The values
-        are folded into the extrema in worker order with Python's
-        ``min``/``max``, as one worker at a time would.
+        are read as they are. Every norm, dot and residual is taken over the
+        rows at once. The values are folded into the extrema in worker order
+        with Python's ``min``/``max``, as one worker at a time would.
         """
-        w_pre, w_post, v_pre, v_post, w_p, grad, c0, c1, c2, grad_sqs, w_g = _round_arrays(infos)
+        w_pre, w_post, v_pre, v_post, w_p, grad = (
+            infos.vectors[name] for name in ("w_pre", "w_post", "v_pre", "v_post", "w_p_pre", "grad")
+        )
+        c0, c1, c2, w_g = infos.c0, infos.c1[:, None], infos.c2[:, None], infos.w_g_used
+        grad_sqs = infos.grad_sq.tolist()
         for grad_sq in grad_sqs:
             self.grad_sq_sum += grad_sq
         self.grad_sq_count += len(grad_sqs)
@@ -114,7 +120,7 @@ class CosineStats:
         recon = recon + c1 * v_p + c2 * v_g
 
         # Zero-gradient samples carry no direction; zero-velocity ones no angle.
-        sampled = np.array(grad_sqs) != 0.0
+        sampled = infos.grad_sq != 0.0
         n_sampled = int(np.count_nonzero(sampled))
         self.samples += n_sampled
         self.zero_grad += len(infos) - n_sampled
@@ -151,26 +157,6 @@ class CosineStats:
     @property
     def min_grad_sq(self) -> float:
         return self.grad_sq_min if self.grad_sq_count else math.nan
-
-
-_VECTORS = ("w_pre", "w_post", "v_pre", "v_post", "w_p_pre", "grad")
-
-
-def _round_arrays(infos: Sequence[StepInfo]):
-    """A round's step vectors as (U, D) arrays, the coefficients (c0, c1,
-    c2) as columns or scalars, the squared gradient norms as floats and
-    the global best the steps used: None, one (D,) vector, or rows per
-    worker (a worker's own previous position where it had none)."""
-    if isinstance(infos, StepInfos):
-        return (*(infos.vectors[name] for name in _VECTORS), infos.c0, infos.c1[:, None],
-                infos.c2[:, None], infos.grad_sq.tolist(), infos.w_g_used)
-    stacks = [np.array([getattr(info, name) for info in infos]) for name in _VECTORS]
-    coefficients = np.array([(info.c0, info.c1, info.c2) for info in infos])
-    w_prev = stacks[0] - stacks[2]
-    w_g = np.array([info.w_g_used if info.w_g_used is not None else prev
-                    for info, prev in zip(infos, w_prev)])
-    return (*stacks, coefficients[:, 0:1], coefficients[:, 1:2], coefficients[:, 2:3],
-            [info.grad_sq for info in infos], w_g)
 
 
 def phi_e(h: HyperParameters, stats: CosineStats, lipschitz: float) -> float:

@@ -24,8 +24,8 @@ from .experiment import (
     make_workers,
     population_batch,
 )
-from .model import Batch, accuracy, loss_and_gradient
-from .swarm import Population, ProtocolWiring, RoundOutcome, initial_ps, run_round
+from .model import accuracy, loss_and_gradient
+from .swarm import Crew, Population, ProtocolWiring, RoundOutcome, initial_ps, run_round
 
 
 @dataclass(frozen=True)
@@ -102,29 +102,13 @@ class RunResult:
     init_digest: str
 
 
-def fedavg_round(workers, w: np.ndarray, h: HyperParameters, spec, t: int):
+def fedavg_round(crew: Crew, w: np.ndarray, h: HyperParameters, spec, t: int):
     """One synchronized round: mean of all workers' mini-batch gradients at w.
 
-    The workers' batches are stacked and their gradients taken in one kernel
-    call per batch length: one call when every pool holds at least B samples.
+    The crew's round-t batches are gathered as one stacked batch and their
+    gradients taken in one kernel call.
     """
-    positions = [state.round_draws(t, h, coefficients=False)[2] for state in workers]
-    lengths = [len(idx) for idx in positions]
-    groups = [[k for k, n in enumerate(lengths) if n == length] for length in sorted(set(lengths))]
-
-    def gradients(members):
-        batch = Batch(
-            np.stack([workers[k].train_features[positions[k]] for k in members]),
-            np.stack([workers[k].train_labels[positions[k]] for k in members]),
-        )
-        return loss_and_gradient(spec, w, batch)
-
-    if len(groups) == 1:
-        losses, grads = gradients(groups[0])
-    else:
-        losses, grads = np.empty(len(workers)), np.empty((len(workers), w.shape[0]))
-        for members in groups:
-            losses[members], grads[members] = gradients(members)
+    losses, grads = loss_and_gradient(spec, w, crew.batches(t))
     w_new = w - h.alpha * grads.mean(axis=0)
     require_finite(w_new, f"fedavg consensus at round {t}")
     return w_new, losses
@@ -231,12 +215,12 @@ def _fedavg_rounds(row: Variant, setup, h):
     """FedAvg rounds in the shape of ``_swarm_rounds``: every worker uplinks
     its gradient and the server broadcasts the new consensus, which all
     workers then hold."""
-    workers = make_workers(setup, h, row.global_train, row.score)
+    crew = Crew.of(make_workers(setup, h, row.global_train, row.score))
     w = initial_w_for(setup, 0)
     for t in range(h.rounds):
-        w, losses = fedavg_round(workers, w, h, setup.spec, t)
+        w, losses = fedavg_round(crew, w, h, setup.spec, t)
         outcome = RoundOutcome(
-            f_g=math.nan, batch_losses=losses, scalar_uplinks=0, vector_uplinks=len(workers),
+            f_g=math.nan, batch_losses=losses, scalar_uplinks=0, vector_uplinks=len(crew.ids),
             vector_broadcasts=1, detections=0, step_infos=(),
         )
-        yield outcome, w, np.broadcast_to(w, (len(workers), w.size))
+        yield outcome, w, np.broadcast_to(w, (len(crew.ids), w.size))

@@ -131,9 +131,6 @@ class WorkerDraws:
     c2: np.ndarray       # (T,)
     batches: np.ndarray  # (T, min(B, pool)) positions into the worker's pool
 
-    def at(self, t: int) -> tuple[float, float, np.ndarray]:
-        return float(self.c1[t]), float(self.c2[t]), self.batches[t]
-
 
 # numpy's SeedSequence hash constants, and its PCG64 multiplier as 64-bit words.
 _M32 = 0xFFFFFFFF

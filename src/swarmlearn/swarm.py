@@ -34,7 +34,6 @@ from .core import (
     attack_stream,
     draw_batch_indices,  # noqa: F401  bound here only for perfbench's span hook
     inertia_schedule,
-    stream_draws,
 )
 from .data import Rows
 from .model import Batch, ModelSpec, Workspace, loss, loss_and_gradient
@@ -52,21 +51,12 @@ class WorkerState:
     v: np.ndarray
     w_p: np.ndarray
     f_p: float
-    train_features: np.ndarray | Rows
-    train_labels: np.ndarray | Rows
+    train_features: Rows
+    train_labels: Rows
     score_set: Batch | None
     stream: RngStream
     is_byzantine: bool = False
     draws: WorkerDraws | None = None   # this worker's column of the run's draw table
-
-    def round_draws(
-        self, t: int, h: HyperParameters, coefficients: bool = True
-    ) -> tuple[float, float, np.ndarray]:
-        """Round t's (c1, c2, batch positions): read from the run's draw
-        table, or drawn from the stream for a worker built without one."""
-        if self.draws is not None:
-            return self.draws.at(t)
-        return stream_draws(self.stream, t, len(self.train_labels), h, coefficients)
 
 
 @dataclass
@@ -174,74 +164,69 @@ class Crew:
 
     ``states`` are the worker states the population was built from (pools,
     streams and scoring sets). ``draws`` is the run's draw table stacked as
-    (T, U) swarm weights and (T, U, B) batch positions, None when a worker
-    has no table or the batch lengths differ. ``pool`` holds the training
-    features and labels every pool indexes, the pools as one (U, P) index
-    (flattened) and each row's start in it, None unless the pools are
-    equal-length ``Rows`` of one set and the draws are stacked. ``score`` is
-    every worker's scoring set as one stacked batch (broadcast views of a
-    set all workers share), None when the sets differ in length. ``work``
-    holds the buffers the step and scoring phases reuse, kept for the run.
+    (T, U) swarm weights and (T, U, B) batch positions. ``pool`` holds the
+    training features and labels every pool indexes, the pools as one
+    (U, P) index (flattened) and each row's start in it. ``score`` is every
+    worker's scoring set as one stacked batch (broadcast views of a set all
+    workers share), None for workers that keep no scoreboard. ``work`` holds
+    the buffers the step and scoring phases reuse, kept for the run.
     """
 
     states: tuple[WorkerState, ...]
     ids: tuple[int, ...]
     byzantine: tuple[bool, ...]
-    draws: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    pool: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+    draws: tuple[np.ndarray, np.ndarray, np.ndarray]
+    pool: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     score: Batch | None
     work: Workspace = field(default_factory=Workspace)
 
     @classmethod
-    def of(cls, states: tuple[WorkerState, ...]) -> Crew:
-        draws = pool = score = None
+    def of(cls, states) -> Crew:
+        """The crew of ``states`` in the order given. ValueError unless the
+        workers share one draw table, equal-length pools of one training set
+        and scoring sets of one length (or none)."""
+        states = tuple(states)
+        features = [s.train_features for s in states]
+        labels = [s.train_labels for s in states]
+        if not all(isinstance(f, Rows) and f.base is features[0].base
+                   and isinstance(y, Rows) and y.base is labels[0].base and f.index is y.index
+                   for f, y in zip(features, labels)):
+            raise ValueError("worker pools are not Rows of one training set")
+        if len({len(f) for f in features}) != 1:
+            raise ValueError("worker pools differ in length")
         tables = [s.draws for s in states]
-        if all(d is not None for d in tables) and len({d.batches.shape for d in tables}) == 1:
-            draws = tuple(
-                np.stack([getattr(d, name) for d in tables], axis=1)
-                for name in ("c1", "c2", "batches")
-            )
-            features = [s.train_features for s in states]
-            labels = [s.train_labels for s in states]
-            if (all(isinstance(f, Rows) and f.base is features[0].base for f in features)
-                    and all(isinstance(y, Rows) and y.base is labels[0].base for y in labels)
-                    and all(f.index is y.index for f, y in zip(features, labels))
-                    and len({len(f) for f in features}) == 1):
-                index = np.stack([f.index for f in features])
-                # row u's position p is flat entry u * P + p
-                starts = np.arange(0, index.size, index.shape[1])[:, None]
-                pool = features[0].base, labels[0].base, index.reshape(-1), starts
+        if any(d is None for d in tables):
+            raise ValueError("a worker has no draw table")
+        if len({d.batches.shape for d in tables}) != 1:
+            raise ValueError("worker draw tables differ in shape")
         sets = [s.score_set for s in states]
-        u = len(sets)
-        if sets[0] is not None and all(b is sets[0] for b in sets):
-            score = Batch(np.broadcast_to(sets[0].features, (u, *sets[0].features.shape)),
-                          np.broadcast_to(sets[0].labels, (u, *sets[0].labels.shape)))
-        elif all(b is not None for b in sets) and len({b.labels.shape for b in sets}) == 1:
+        score = None
+        if all(b is sets[0] for b in sets) and sets[0] is not None:
+            score = Batch(np.broadcast_to(sets[0].features, (len(sets), *sets[0].features.shape)),
+                          np.broadcast_to(sets[0].labels, (len(sets), *sets[0].labels.shape)))
+        elif any(b is not None for b in sets):
+            if any(b is None for b in sets):
+                raise ValueError("some workers have a scoring set and some have none")
+            if len({b.labels.shape for b in sets}) != 1:
+                raise ValueError("worker scoring sets differ in length")
             score = Batch(np.stack([b.features for b in sets]), np.stack([b.labels for b in sets]))
+        index = np.stack([f.index for f in features])
+        # row u's position p is flat entry u * P + p
+        starts = np.arange(0, index.size, index.shape[1])[:, None]
         return cls(
             states, tuple(s.worker_id for s in states), tuple(s.is_byzantine for s in states),
-            draws, pool, score,
+            tuple(np.stack([getattr(d, name) for d in tables], axis=1)
+                  for name in ("c1", "c2", "batches")),
+            (features[0].base, labels[0].base, index.reshape(-1), starts),
+            score,
         )
 
-    def round_draws(self, t: int, h: HyperParameters):
-        """Round t's swarm weights c1 and c2 as (U,) arrays and each
-        worker's batch positions."""
-        if self.draws is not None:
-            c1, c2, batches = self.draws
-            return c1[t], c2[t], batches[t]
-        c1, c2, positions = zip(*(s.round_draws(t, h) for s in self.states))
-        return np.array(c1), np.array(c2), positions
-
-    def batches(self, positions, rows: slice) -> list[Batch]:
-        """The mini-batches of workers ``rows`` at their batch positions,
-        gathered in one pass over the training set when the pools are one
-        index."""
-        if self.pool is None:
-            return [Batch(s.train_features[idx], s.train_labels[idx])
-                    for s, idx in zip(self.states[rows], positions[rows])]
+    def batches(self, t: int, rows: slice = slice(None)) -> Batch:
+        """Round t's mini-batches of workers ``rows`` as one (rows, B) stacked
+        batch, gathered in one pass over the training set."""
         features, labels, index, starts = self.pool
-        at = index[positions[rows] + starts[rows]]
-        return [Batch(x, y) for x, y in zip(features[at], labels[at])]
+        at = index[self.draws[2][t, rows] + starts[rows]]
+        return Batch(features[at], labels[at])
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,7 +340,7 @@ def worker_step(
     """
     crew = pop.crew
     c0 = inertia_schedule(h, t)
-    c1, c2, positions = crew.round_draws(t, h)
+    c1, c2 = crew.draws[0][t], crew.draws[1][t]
     if w_g is None:
         c2 = np.zeros_like(c1)
     count, dim = pop.w.shape
@@ -367,9 +352,10 @@ def worker_step(
     for lo in range(0, count, run):
         rows = slice(lo, min(count, lo + run))
         part = []
-        for u, batch in enumerate(crew.batches(positions, rows), lo):
+        batch = crew.batches(t, rows)
+        for u, (x, y) in enumerate(zip(batch.features, batch.labels), lo):
             try:
-                value, grad = loss_and_gradient(spec, pop.w[u], batch)
+                value, grad = loss_and_gradient(spec, pop.w[u], Batch(x, y))
             except Exception as exc:
                 exc.args = (f"round {t}, worker {crew.ids[u]}: {exc}",)
                 raise
@@ -405,10 +391,7 @@ def score_and_update_best(pop: Population, spec: ModelSpec) -> Population:
     all in one stacked ``loss`` call; the workers that scored strictly
     better copy their score and row into (f_p, w_p)."""
     crew = pop.crew
-    if crew.score is not None:
-        scores = loss(spec, pop.w, crew.score, work=crew.work)
-    else:
-        scores = np.array([loss(spec, pop.w[u], s.score_set) for u, s in enumerate(crew.states)])
+    scores = loss(spec, pop.w, crew.score, work=crew.work)
     for u in np.flatnonzero(scores < pop.f_p):
         pop.f_p[u], pop.w_p[u] = scores[u], pop.w[u]
     return pop

@@ -37,15 +37,9 @@ def hybrid_update(w, v, w_p, w_g, c0, c1, c2, alpha, grad):
     return w_new, w_new - w
 
 
-def round_draws(state, t, h):
-    if state.draws is not None:
-        return state.draws.at(t)
-    return stream_draws(state.stream, t, len(state.train_labels), h)
-
-
 def worker_step(state, w_g, h, spec, t, collect_vectors=False):
     c0 = inertia_schedule(h, t)
-    c1, c2, idx = round_draws(state, t, h)
+    c1, c2, idx = stream_draws(state.stream, t, len(state.train_labels), h)
     batch = Batch(state.train_features[idx], state.train_labels[idx])
     batch_loss, grad = loss_and_gradient(spec, state.w, batch)
 

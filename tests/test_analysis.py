@@ -21,12 +21,13 @@ from swarmlearn.experiment import (
 from swarmlearn.model import ModelSpec, loss, param_count
 from swarmlearn.swarm import (
     ProtocolWiring,
-    StepInfo,
+    StepInfos,
     initial_ps,
     run_round,
 )
 
 import swarm_oracle
+from conftest import hand_workers
 
 SMALL = DataConfig(
     classes=4, per_class=250, dim=5, separation=6.0, test_per_class=25,
@@ -128,42 +129,47 @@ SCALES = (1e-3, 1.0, 1e3, 1e100)
 
 @st.composite
 def step_rounds(draw):
-    """One to three rounds of U step logs over D parameters. Rows may carry a
-    zero velocity, a zero pull toward the personal best, a zero gradient, no
-    global best yet, a NaN entry, and vectors at scales up to 1e100."""
+    """One to three rounds of U step logs over D parameters, each round's as
+    the ``StepInfos`` a round returns. Rows may carry a zero velocity, a zero
+    pull toward the personal best, a zero gradient, a NaN entry, and vectors
+    at scales up to 1e100; a round may have no global best yet."""
     u = draw(st.integers(1, 12))
     d = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def vector():
+        return rng.standard_normal(d) * SCALES[rng.integers(len(SCALES))]
+
     rounds = []
     for _ in range(draw(st.integers(1, 3))):
         flags = draw(st.lists(
-            st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans(),
-                      st.integers(0, 9)),
+            st.tuples(st.booleans(), st.booleans(), st.booleans(), st.integers(0, 9)),
             min_size=u, max_size=u,
         ))
-        infos = []
-        for k, (zero_v, zero_vp, zero_grad, no_wg, poison) in enumerate(flags):
-            vec = {
-                name: rng.standard_normal(d) * SCALES[rng.integers(len(SCALES))]
-                for name in ("w_pre", "v_pre", "w_p_pre", "w_g_used", "grad", "v_post")
-            }
+        no_wg = draw(st.booleans())
+        rows = []
+        for zero_v, zero_vp, zero_grad, poison in flags:
+            vec = {name: vector() for name in ("w_pre", "v_pre", "w_p_pre", "grad", "v_post")}
             if zero_v:
                 vec["v_pre"] = np.zeros(d)
             if zero_vp:
                 vec["w_p_pre"] = vec["w_pre"] - vec["v_pre"]
             if zero_grad:
                 vec["grad"] = np.zeros(d)
-            if no_wg:
-                vec["w_g_used"] = None
             if poison == 0:
                 vec["grad"][rng.integers(d)] = math.nan
             vec["w_post"] = vec["w_pre"] + vec["v_post"] * rng.choice([1.0, 1.0 + 1e-12])
-            c0, c1, c2 = rng.uniform(0.0, 2.0, 3)
-            infos.append(StepInfo(
-                worker_id=k, c0=float(c0), c1=float(c1), c2=0.0 if no_wg else float(c2),
-                batch_loss=0.0, grad_sq=float(vec["grad"] @ vec["grad"]), **vec,
-            ))
-        rounds.append(tuple(infos))
+            rows.append(vec)
+        rounds.append(StepInfos(
+            ids=tuple(range(u)),
+            c0=float(rng.uniform(0.0, 2.0)),
+            c1=rng.uniform(0.0, 2.0, u),
+            c2=np.zeros(u) if no_wg else rng.uniform(0.0, 2.0, u),
+            batch_losses=np.zeros(u),
+            grad_sq=np.array([float(row["grad"] @ row["grad"]) for row in rows]),
+            w_g_used=None if no_wg else vector(),
+            vectors={name: np.stack([row[name] for row in rows]) for name in rows[0]},
+        ))
     return rounds
 
 
@@ -190,16 +196,31 @@ def test_consume_round_equals_per_worker_oracle(rounds, alpha):
             assert same_float(a, b)
 
 
+def test_row_helpers_take_c_ordered_rows_only():
+    # per-row results are bit-equal to the rows alone only in C order: a
+    # column-major copy of the same values gives other last bits
+    a = np.random.default_rng(3).standard_normal((4, 300))
+    assert analysis.row_dots(a, a).tobytes() == np.array([row @ row for row in a]).tobytes()
+    assert analysis.row_norms(a).tobytes() == \
+        np.array([np.linalg.norm(row) for row in a]).tobytes()
+    for bad in ((np.asfortranarray(a), a), (a, np.asfortranarray(a))):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            analysis.row_dots(*bad)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        analysis.row_norms(np.asfortranarray(a))
+
+
 def one_step_round(v, grad):
     """``consume_round`` over one worker whose velocity entering the step is
     ``v``; its personal and global pulls are zero."""
-    w = np.zeros_like(v)
-    info = StepInfo(
-        worker_id=0, c0=1.0, c1=0.0, c2=0.0, batch_loss=0.0, grad_sq=float(grad @ grad),
-        w_pre=w, w_post=w, v_pre=v, v_post=w, w_p_pre=w - v, w_g_used=None, grad=grad,
+    w = np.zeros((1, len(v)))
+    infos = StepInfos(
+        ids=(0,), c0=1.0, c1=np.zeros(1), c2=np.zeros(1), batch_losses=np.zeros(1),
+        grad_sq=np.array([float(grad @ grad)]), w_g_used=None,
+        vectors=dict(w_pre=w, w_post=w, v_pre=v[None], v_post=w, w_p_pre=w - v, grad=grad[None]),
     )
     stats = analysis.CosineStats(HyperParameters())
-    return stats, stats.consume_round((info,))
+    return stats, stats.consume_round(infos)
 
 
 class TestCosineStep:
@@ -487,19 +508,15 @@ class TestDivergenceBound:
             c0=1.0, delta_c1=0.0, delta_c2=0.0, alpha=0.005,
             rounds=20, num_workers=1, batch_size=len(ds),
         )
-        from swarmlearn.core import worker_stream
-        from swarmlearn.swarm import WorkerState
-
         w0 = np.zeros(param_count(spec))
-        worker = WorkerState(
-            worker_id=0, w=w0.copy(), v=np.zeros_like(w0), w_p=w0.copy(),
-            f_p=loss(spec, w0, population),
-            train_features=population.features, train_labels=population.labels,
-            score_set=population, stream=worker_stream(0, 0),
+        workers = hand_workers(
+            h, 0, population.features, population.labels, [np.arange(len(ds))],
+            w=[w0.copy()], v=[np.zeros_like(w0)], w_p=[w0.copy()],
+            f_p=[loss(spec, w0, population)], score_set=[population],
         )
         genie = analysis.GenieState(w0.copy(), np.zeros_like(w0))
         _, _, trace = analysis.run_genie_aligned(
-            [worker], genie, spec, h, 20, population, classes
+            workers, genie, spec, h, 20, population, classes
         )
         assert np.all(trace.w_dist <= 1e-12)
         hist = label_histogram(population.labels, classes)

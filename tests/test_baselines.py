@@ -22,7 +22,9 @@ from swarmlearn.baselines import (
     run_variant,
 )
 from swarmlearn.cli import COSINE_COLUMNS, DIVERGENCE_COLUMNS
-from swarmlearn.swarm import Population, ProtocolWiring, initial_ps, run_round
+from swarmlearn.swarm import Crew, Population, ProtocolWiring, initial_ps, run_round
+
+from conftest import hand_workers
 
 SMALL = DataConfig(
     classes=4, per_class=250, dim=5, separation=6.0, test_per_class=25,
@@ -42,25 +44,25 @@ class TestFedAvg:
         setup, _ = small_setup(seed=2, h=h)
         workers = make_workers(setup, h, False, "none")
         w0 = setup.init_w.copy()
-        w1, losses = fedavg_round(workers, w0, h, setup.spec, 0)
+        w1, losses = fedavg_round(Crew.of(workers), w0, h, setup.spec, 0)
         want_w1, want_losses = fedavg_oracle(workers, w0, h, setup.spec, 0, setup.seed)
         assert w1.tobytes() == want_w1.tobytes()
         assert losses.tobytes() == want_losses.tobytes()
 
-    def test_unequal_batch_lengths(self):
-        # a pool smaller than B gives a shorter batch than its neighbour's
+    def test_pools_smaller_than_the_batch(self):
+        # a pool smaller than B gives every worker a batch of its whole pool
         spec = ModelSpec("softmax_regression", input_dim=4, num_classes=3)
         h = HyperParameters(rounds=3, num_workers=2, batch_size=5)
         rng = np.random.default_rng(11)
-        workers = [
-            make_fedavg_worker(rng.standard_normal((n, 4)), rng.integers(0, 3, n), seed=5,
-                               worker_id=k)
-            for k, n in enumerate((3, 12))
-        ]
+        workers = hand_workers(
+            h, 5, rng.standard_normal((6, 4)), rng.integers(0, 3, 6),
+            [np.arange(3), np.arange(3, 6)], coefficients=False,
+        )
+        crew = Crew.of(workers)
         w = rng.standard_normal(param_count(spec))
         for t in range(h.rounds):
             want_w, want_losses = fedavg_oracle(workers, w, h, spec, t, seed=5)
-            w, losses = fedavg_round(workers, w, h, spec, t)
+            w, losses = fedavg_round(crew, w, h, spec, t)
             assert w.tobytes() == want_w.tobytes()
             assert losses.tobytes() == want_losses.tobytes()
 
@@ -70,18 +72,19 @@ class TestFedAvg:
         h = HyperParameters(rounds=1, num_workers=1, batch_size=2)
         features = np.array([[1.0, 2.0], [1.0, 2.0]])
         labels = np.array([0, 1])
-        worker = make_fedavg_worker(features, labels, seed=0)
+        workers = hand_workers(h, 0, features, labels, [np.arange(2)], coefficients=False)
         w0 = np.zeros(param_count(spec))
-        w1, _ = fedavg_round([worker], w0, h, spec, 0)
+        w1, _ = fedavg_round(Crew.of(workers), w0, h, spec, 0)
         assert np.array_equal(w1, w0)
 
     def test_single_worker_is_standalone_sgd(self):
         h = HyperParameters(rounds=10, num_workers=1, batch_size=5)
         setup, _ = small_setup(seed=3, h=h)
         workers = make_workers(setup, h, False, "none")
+        crew = Crew.of(workers)
         w = setup.init_w.copy()
         for t in range(h.rounds):
-            w, _ = fedavg_round(workers, w, h, setup.spec, t)
+            w, _ = fedavg_round(crew, w, h, setup.spec, t)
         # twin: same stream, plain SGD
         w_twin = setup.init_w.copy()
         worker = workers[0]
@@ -102,22 +105,6 @@ class TestFedAvg:
             assert r.scalar_uplinks == 0
         total = sum(r.vector_uplinks for r in result.records)
         assert total == h.rounds * h.num_workers
-
-
-def make_fedavg_worker(features, labels, seed, worker_id=0):
-    from swarmlearn.swarm import WorkerState
-
-    return WorkerState(
-        worker_id=worker_id,
-        w=np.zeros(1),
-        v=np.zeros(1),
-        w_p=np.zeros(1),
-        f_p=math.inf,
-        train_features=features,
-        train_labels=labels,
-        score_set=None,
-        stream=worker_stream(seed, worker_id),
-    )
 
 
 def fedavg_oracle(workers, w, h, spec, t, seed):
@@ -186,22 +173,12 @@ class TestPso:
             for i in range(h.num_workers)
         ]
 
-        from swarmlearn.swarm import WorkerState
-
-        workers = [
-            WorkerState(
-                worker_id=i,
-                w=starts[i].copy(),
-                v=np.zeros(dim),
-                w_p=starts[i].copy(),
-                f_p=objective(starts[i]),
-                train_features=common.features,
-                train_labels=common.labels,
-                score_set=common,
-                stream=worker_stream(seed, i),
-            )
-            for i in range(h.num_workers)
-        ]
+        n = h.num_workers
+        workers = hand_workers(
+            h, seed, common.features, common.labels, [np.arange(8)] * n,
+            w=[w.copy() for w in starts], v=[np.zeros(dim)] * n, w_p=[w.copy() for w in starts],
+            f_p=[objective(w) for w in starts], score_set=[common] * n,
+        )
         wiring = ProtocolWiring(h, spec, common, True, AttackSpec())
         ps = initial_ps()
         for t, (x, f_p, f_g, w_g) in enumerate(canonical_pso(objective, starts, h, seed)):

@@ -225,7 +225,7 @@ def assert_table_is_numpy(table, seed, worker_ids, pools, h, coefficients):
     for draws, worker_id, pool in zip(table, worker_ids, pools):
         for t in range(h.rounds):
             c1, c2, batch = stream_draws(worker_stream(seed, worker_id), t, pool, h, coefficients)
-            t1, t2, t_batch = draws.at(t)
+            t1, t2, t_batch = draws.c1[t], draws.c2[t], draws.batches[t]
             assert (t1, t2) == (c1, c2)
             assert t_batch.dtype == batch.dtype and t_batch.tobytes() == batch.tobytes()
 

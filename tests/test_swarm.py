@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from swarmlearn.attacks import STRATEGIES, AttackSpec
 from swarmlearn.baselines import run_variant
 from swarmlearn.core import HyperParameters, NonFiniteError, sample_coefficients, worker_stream
-from swarmlearn.data import draw_batch_indices, synthetic_blobs
+from swarmlearn.data import Rows, draw_batch_indices, synthetic_blobs
 from swarmlearn.experiment import DataConfig, build_setup, make_workers
 from swarmlearn.model import Batch, ModelSpec, loss, loss_and_gradient, param_count
 from swarmlearn import swarm
 from swarmlearn.swarm import (
+    Crew,
     Population,
     ProtocolWiring,
     PsState,
@@ -31,6 +32,7 @@ from swarmlearn.swarm import (
 )
 
 import swarm_oracle
+from conftest import hand_workers
 
 SMALL = DataConfig(
     classes=4, per_class=250, dim=5, separation=6.0, test_per_class=25,
@@ -344,6 +346,37 @@ class TestPopulation:
                     w_g_used=None, grad=None)
             for i in infos
         )
+
+
+class TestCrew:
+    @pytest.mark.parametrize("case, cause", [
+        ("unequal_pools", "pools differ in length"),
+        ("array_pool", "pools are not Rows of one training set"),
+        ("no_table", "has no draw table"),
+        ("unequal_scoring", "scoring sets differ in length"),
+        ("missing_scoring", "some have none"),
+    ])
+    def test_workers_without_one_layout_are_rejected(self, case, cause):
+        # a run's workers share one draw table, equal-length pools of one
+        # training set and one scoring length; hand-built workers that do
+        # not are refused, not run down a slower path
+        setup, h, workers, _ = swarm_world(seed=9)
+        features, labels = setup.train.features, setup.train.labels
+        if case == "unequal_pools":
+            workers = hand_workers(h, 9, features, labels, [np.arange(6), np.arange(6, 13)])
+        elif case == "array_pool":
+            pool = workers[1].train_labels.index
+            workers[1] = replace(workers[1], train_features=features[pool],
+                                 train_labels=Rows(labels, pool))
+        elif case == "no_table":
+            workers[1] = replace(workers[1], draws=None)
+        elif case == "unequal_scoring":
+            workers = [replace(w, score_set=Batch(features[:20 + k], labels[:20 + k]))
+                       for k, w in enumerate(workers)]
+        else:
+            workers[1] = replace(workers[1], score_set=None)
+        with pytest.raises(ValueError, match=cause):
+            Crew.of(workers)
 
 
 class TestRunRound:
