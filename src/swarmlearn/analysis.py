@@ -123,7 +123,7 @@ class CosineStats:
         sampled = infos.grad_sq != 0.0
         n_sampled = int(np.count_nonzero(sampled))
         self.samples += n_sampled
-        self.zero_grad += len(infos) - n_sampled
+        self.zero_grad += len(infos.ids) - n_sampled
         gnorm, neg_grad = row_norms(grad), -grad
         round_vals: dict[str, list[float]] = {}
         for vec, ext_q, ext_u, cos_key, ratio_key in (
@@ -362,7 +362,7 @@ def run_genie_aligned(
     """
     per_class = class_batches(population, num_classes)
     wiring = ProtocolWiring(h, spec, None, False, AttackSpec())
-    pop = Population.of(workers)
+    pop = Population.of(workers, h)
     w_dist = np.zeros((len(pop), rounds + 1))
     v_dist = np.zeros((len(pop), rounds + 1))
     coeffs = np.zeros((len(pop), rounds, 3))

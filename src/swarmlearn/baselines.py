@@ -196,7 +196,7 @@ def _swarm_rounds(row: Variant, setup, h, attack, verification, collect_vectors)
         workers = [
             replace(w, is_byzantine=w.worker_id in attack.attacker_ids) for w in workers
         ]
-    pop = Population.of(workers)
+    pop = Population.of(workers, h)
     shared_score = setup.shared.score.as_batch() if row.score == "shared" else None
     wiring = ProtocolWiring(
         hyper=h,
@@ -215,12 +215,12 @@ def _fedavg_rounds(row: Variant, setup, h):
     """FedAvg rounds in the shape of ``_swarm_rounds``: every worker uplinks
     its gradient and the server broadcasts the new consensus, which all
     workers then hold."""
-    crew = Crew.of(make_workers(setup, h, row.global_train, row.score))
+    crew = Crew.of(make_workers(setup, h, row.global_train, row.score), h)
     w = initial_w_for(setup, 0)
     for t in range(h.rounds):
         w, losses = fedavg_round(crew, w, h, setup.spec, t)
         outcome = RoundOutcome(
             f_g=math.nan, batch_losses=losses, scalar_uplinks=0, vector_uplinks=len(crew.ids),
-            vector_broadcasts=1, detections=0, step_infos=(),
+            vector_broadcasts=1, detections=0, step_infos=None,
         )
         yield outcome, w, np.broadcast_to(w, (len(crew.ids), w.size))

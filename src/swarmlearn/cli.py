@@ -408,6 +408,7 @@ def _uplink_totals(summary_path: Path) -> dict[int, dict[str, int]]:
     if missing:
         raise ConfigError(f"{summary_path}: missing column(s) {', '.join(missing)}")
     by_seed: dict[int, dict[str, int]] = {}
+    first_line: dict[tuple[str, int], int] = {}
     for row in reader:
         variant = row["variant"]
         try:
@@ -424,6 +425,12 @@ def _uplink_totals(summary_path: Path) -> dict[int, dict[str, int]]:
                 f"{summary_path} line {reader.line_num}: {variant} seed {seed} has "
                 f"total_vector_uplinks {total}, below {floor}"
             )
+        if (variant, seed) in first_line:
+            raise ConfigError(
+                f"{summary_path} line {reader.line_num}: {variant} seed {seed} repeats "
+                f"line {first_line[variant, seed]}"
+            )
+        first_line[variant, seed] = reader.line_num
         by_seed.setdefault(seed, {})[variant] = total
     return by_seed
 

@@ -124,12 +124,12 @@ def stream_draws(
 
 
 @dataclass(frozen=True)
-class WorkerDraws:
-    """One worker's draws for a whole run; row t holds round t's."""
+class DrawTable:
+    """A run's draws for U workers over T rounds; row t holds round t's."""
 
-    c1: np.ndarray       # (T,)
-    c2: np.ndarray       # (T,)
-    batches: np.ndarray  # (T, min(B, pool)) positions into the worker's pool
+    c1: np.ndarray       # (T, U)
+    c2: np.ndarray       # (T, U)
+    batches: np.ndarray  # (T, U, min(B, pool)) positions into each worker's pool
 
 
 # numpy's SeedSequence hash constants, and its PCG64 multiplier as 64-bit words.
@@ -237,7 +237,7 @@ class _Pcg64Lanes:
 
 def _vector_draws(seed: int, worker_ids: np.ndarray, rounds: int, pool: int, batch: int,
                   coefficients: bool):
-    """Every (t, worker) stream of one pool size: the swarm-weight uniforms as
+    """Every (t, worker) stream of a pool size: the swarm-weight uniforms as
     (2, T, U) (None without coefficients), batch positions (T, U, batch), and a
     (T, U) mask of the streams numpy would have drawn differently."""
     t = np.repeat(np.arange(rounds, dtype=np.uint32), len(worker_ids))
@@ -268,51 +268,42 @@ def _vector_draws(seed: int, worker_ids: np.ndarray, rounds: int, pool: int, bat
 
 
 def draw_table(
-    seed: int, worker_ids, pool_sizes, h: HyperParameters, coefficients: bool = True
-) -> list[WorkerDraws]:
+    seed: int, worker_ids, pool: int, h: HyperParameters, coefficients: bool = True
+) -> DrawTable:
     """Every draw of a run's worker streams at once, bit-equal to ``stream_draws``.
 
-    Returns one ``WorkerDraws`` per worker id, drawing from a pool of the
-    matching size for ``h.rounds`` rounds. Workers are grouped by pool size and
-    each group's (T, U) streams are drawn in vectorized uint32/uint64
-    arithmetic. numpy draws a stream itself when the vectorized path does not
-    reproduce it: a seed outside [0, 2**32), a pool past Floyd's sampling, or
-    a bounded draw numpy would reject and redraw. One stream is also drawn
-    both ways; if they differ, numpy draws every stream.
+    Every worker draws from a pool of ``pool`` rows for ``h.rounds`` rounds;
+    the (T, U) streams are drawn in vectorized uint32/uint64 arithmetic.
+    numpy draws a stream itself when the vectorized path does not reproduce
+    it: a seed outside [0, 2**32), a pool past Floyd's sampling, or a bounded
+    draw numpy would reject and redraw. One stream is also drawn both ways;
+    if they differ, numpy draws every stream.
     """
-    rounds, n = h.rounds, len(worker_ids)
+    rounds, n, batch = h.rounds, len(worker_ids), min(h.batch_size, pool)
     c1, c2 = np.zeros((rounds, n)), np.zeros((rounds, n))
-    batches = [np.empty((rounds, min(h.batch_size, p)), dtype=np.int64) for p in pool_sizes]
+    batches = np.empty((rounds, n, batch), dtype=np.int64)
     by_numpy = np.ones((rounds, n), dtype=bool)
-    for pool in sorted(set(pool_sizes)):
-        batch = min(h.batch_size, pool)
-        cols = [u for u, p in enumerate(pool_sizes) if p == pool]
-        ids = np.array([worker_ids[u] for u in cols])
-        if not (0 <= min(seed, ids.min()) and max(seed, ids.max()) < 2**32 and pool >= 1
-                and (pool <= _FLOYD_MAX_POOL or batch <= pool // 50)):
-            continue
-        uniforms, positions, rejected = _vector_draws(
+    ids = np.array(worker_ids)
+    if (0 <= min(seed, ids.min()) and max(seed, ids.max()) < 2**32 and pool >= 1
+            and (pool <= _FLOYD_MAX_POOL or batch <= pool // 50)):
+        uniforms, batches, by_numpy = _vector_draws(
             seed, ids.astype(np.uint32), rounds, pool, batch, coefficients
         )
         if uniforms is not None:
-            c1[:, cols] = 0.0 + h.delta_c1 * uniforms[0]
-            c2[:, cols] = 0.0 + h.delta_c2 * uniforms[1]
-        for k, u in enumerate(cols):
-            batches[u][:] = positions[:, k]
-        by_numpy[:, cols] = rejected
+            c1, c2 = 0.0 + h.delta_c1 * uniforms[0], 0.0 + h.delta_c2 * uniforms[1]
 
     def from_numpy(t, u):
-        return stream_draws(worker_stream(seed, worker_ids[u]), t, pool_sizes[u], h, coefficients)
+        return stream_draws(worker_stream(seed, worker_ids[u]), t, pool, h, coefficients)
 
     covered = np.argwhere(~by_numpy).tolist()
     if covered:
         t, u = covered[0]
         n1, n2, n_batch = from_numpy(t, u)
-        if (n1, n2) != (c1[t, u], c2[t, u]) or not np.array_equal(n_batch, batches[u][t]):
+        if (n1, n2) != (c1[t, u], c2[t, u]) or not np.array_equal(n_batch, batches[t, u]):
             by_numpy[:] = True
     for t, u in np.argwhere(by_numpy).tolist():
-        c1[t, u], c2[t, u], batches[u][t] = from_numpy(t, u)
-    return [WorkerDraws(c1[:, u], c2[:, u], batches[u]) for u in range(n)]
+        c1[t, u], c2[t, u], batches[t, u] = from_numpy(t, u)
+    return DrawTable(c1, c2, batches)
 
 
 def inertia_schedule(h: HyperParameters, t: int) -> float:

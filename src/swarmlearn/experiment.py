@@ -19,7 +19,6 @@ from .core import (
     DOMAIN_ORCHESTRATOR,
     HyperParameters,
     derived_rng,
-    draw_table,
     worker_stream,
 )
 from .model import Batch, ModelSpec, init_params, loss, param_count
@@ -228,11 +227,6 @@ def make_workers(
     # one scoring Batch for every worker; None when score_mode is "none"
     score_set = setup.shared.score.as_batch() if score_mode == "shared" else None
     pools = [worker_pool(setup, i, with_global_train) for i in range(h.num_workers)]
-    # FedAvg workers (no scoreboard) take no swarm step, so they draw no weights.
-    draws = draw_table(
-        setup.seed, range(h.num_workers), [len(labels) for _, labels in pools], h,
-        coefficients=score_mode != "none",
-    )
     zero = None
     if score_mode != "none":
         zero = np.zeros(param_count(setup.spec))
@@ -262,7 +256,6 @@ def make_workers(
                 train_labels=labels,
                 score_set=score_set,
                 stream=worker_stream(seed=setup.seed, worker_id=i),
-                draws=draws[i],
             )
         )
     return workers

@@ -21,19 +21,20 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import attacks
 from .core import (
+    DrawTable,
     HyperParameters,
     NonFiniteError,
     RngStream,
-    WorkerDraws,
     attack_stream,
     draw_batch_indices,  # noqa: F401  bound here only for perfbench's span hook
+    draw_table,
     inertia_schedule,
+    worker_stream,
 )
 from .data import Rows
 from .model import Batch, ModelSpec, Workspace, loss, loss_and_gradient
@@ -56,7 +57,6 @@ class WorkerState:
     score_set: Batch | None
     stream: RngStream
     is_byzantine: bool = False
-    draws: WorkerDraws | None = None   # this worker's column of the run's draw table
 
 
 @dataclass
@@ -73,25 +73,6 @@ class ScalarReport:
 
 
 @dataclass(frozen=True)
-class StepInfo:
-    """Raw per-step quantities kept for diagnostics (vectors only when asked)."""
-
-    worker_id: int
-    c0: float
-    c1: float
-    c2: float          # as applied; 0.0 while no global best exists
-    batch_loss: float
-    grad_sq: float
-    w_pre: np.ndarray | None = None
-    w_post: np.ndarray | None = None
-    v_pre: np.ndarray | None = None
-    v_post: np.ndarray | None = None
-    w_p_pre: np.ndarray | None = None
-    w_g_used: np.ndarray | None = None
-    grad: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class RoundOutcome:
     f_g: float
     batch_losses: np.ndarray
@@ -99,7 +80,7 @@ class RoundOutcome:
     vector_uplinks: int
     vector_broadcasts: int
     detections: int
-    step_infos: Sequence[StepInfo]
+    step_infos: StepInfos | None   # None for a round that takes no swarm steps
 
 
 @dataclass(frozen=True)
@@ -118,12 +99,14 @@ class ProtocolWiring:
 
 
 @dataclass(frozen=True, eq=False)
-class StepInfos(Sequence):
-    """One round's step quantities as (U,) and (U, D) arrays, read as a
-    sequence of ``StepInfo`` rows in worker-id order. ``vectors`` maps the
-    StepInfo vector fields but ``w_g_used`` to (U, D) arrays of the round's
-    own, which later rounds leave as they are; it is empty unless the round
-    collected vectors."""
+class StepInfos:
+    """One round's step quantities in worker-id order: the realized swarm
+    weights ``c1``, ``c2`` (``c2`` 0.0 while no global best exists), batch
+    losses and squared gradient norms as (U,) arrays, the inertia weight
+    ``c0`` and the global best the step pulled toward. ``vectors`` maps
+    ``w_pre``, ``w_post``, ``v_pre``, ``v_post``, ``w_p_pre`` and ``grad``
+    to (U, D) arrays of the round's own, which later rounds leave as they
+    are; it is empty unless the round collected vectors."""
 
     ids: tuple[int, ...]
     c0: float
@@ -134,37 +117,14 @@ class StepInfos(Sequence):
     w_g_used: np.ndarray | None
     vectors: dict[str, np.ndarray]
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, u):
-        return self._rows[u]
-
-    @cached_property
-    def _rows(self) -> tuple[StepInfo, ...]:
-        """The rows, built when first read: a round nobody inspects builds none."""
-        rows = []
-        for u, worker_id in enumerate(self.ids):
-            vectors = {name: stacked[u] for name, stacked in self.vectors.items()}
-            if vectors:
-                vectors["w_g_used"] = self.w_g_used
-            rows.append(StepInfo(
-                worker_id, self.c0, float(self.c1[u]), float(self.c2[u]),
-                float(self.batch_losses[u]), float(self.grad_sq[u]), **vectors,
-            ))
-        return tuple(rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and self._rows == tuple(other)
-
 
 @dataclass(frozen=True)
 class Crew:
     """What a run's workers keep from round to round, in worker-id order.
 
     ``states`` are the worker states the population was built from (pools,
-    streams and scoring sets). ``draws`` is the run's draw table stacked as
-    (T, U) swarm weights and (T, U, B) batch positions. ``pool`` holds the
+    streams and scoring sets). ``draws`` is the run's draw table: (T, U)
+    swarm weights and (T, U, B) batch positions. ``pool`` holds the
     training features and labels every pool indexes, the pools as one
     (U, P) index (flattened) and each row's start in it. ``score`` is every
     worker's scoring set as one stacked batch (broadcast views of a set all
@@ -175,17 +135,23 @@ class Crew:
     states: tuple[WorkerState, ...]
     ids: tuple[int, ...]
     byzantine: tuple[bool, ...]
-    draws: tuple[np.ndarray, np.ndarray, np.ndarray]
+    draws: DrawTable
     pool: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     score: Batch | None
     work: Workspace = field(default_factory=Workspace)
 
     @classmethod
-    def of(cls, states) -> Crew:
-        """The crew of ``states`` in the order given. ValueError unless the
-        workers share one draw table, equal-length pools of one training set
-        and scoring sets of one length (or none)."""
+    def of(cls, states, h: HyperParameters) -> Crew:
+        """The crew of ``states`` in the order given, with their streams'
+        draw table for ``h.rounds`` rounds. Workers with a scoreboard draw
+        swarm weights; FedAvg workers (no scoring set) draw only batches.
+        ValueError unless the workers' streams are the worker streams of one
+        seed, their pools equal-length Rows of one training set and their
+        scoring sets of one length (or none)."""
         states = tuple(states)
+        seed = states[0].stream.seed
+        if any(s.stream != worker_stream(seed, s.worker_id) for s in states):
+            raise ValueError("worker streams are not the worker streams of one seed")
         features = [s.train_features for s in states]
         labels = [s.train_labels for s in states]
         if not all(isinstance(f, Rows) and f.base is features[0].base
@@ -194,11 +160,6 @@ class Crew:
             raise ValueError("worker pools are not Rows of one training set")
         if len({len(f) for f in features}) != 1:
             raise ValueError("worker pools differ in length")
-        tables = [s.draws for s in states]
-        if any(d is None for d in tables):
-            raise ValueError("a worker has no draw table")
-        if len({d.batches.shape for d in tables}) != 1:
-            raise ValueError("worker draw tables differ in shape")
         sets = [s.score_set for s in states]
         score = None
         if all(b is sets[0] for b in sets) and sets[0] is not None:
@@ -213,10 +174,10 @@ class Crew:
         index = np.stack([f.index for f in features])
         # row u's position p is flat entry u * P + p
         starts = np.arange(0, index.size, index.shape[1])[:, None]
+        ids = tuple(s.worker_id for s in states)
         return cls(
-            states, tuple(s.worker_id for s in states), tuple(s.is_byzantine for s in states),
-            tuple(np.stack([getattr(d, name) for d in tables], axis=1)
-                  for name in ("c1", "c2", "batches")),
+            states, ids, tuple(s.is_byzantine for s in states),
+            draw_table(seed, ids, index.shape[1], h, coefficients=score is not None),
             (features[0].base, labels[0].base, index.reshape(-1), starts),
             score,
         )
@@ -225,7 +186,7 @@ class Crew:
         """Round t's mini-batches of workers ``rows`` as one (rows, B) stacked
         batch, gathered in one pass over the training set."""
         features, labels, index, starts = self.pool
-        at = index[self.draws[2][t, rows] + starts[rows]]
+        at = index[self.draws.batches[t, rows] + starts[rows]]
         return Batch(features[at], labels[at])
 
 
@@ -245,14 +206,14 @@ class Population(Sequence):
     f_p: np.ndarray
 
     @classmethod
-    def of(cls, states) -> Population:
-        """The population of worker states given in any order. The rows are
-        copies of the states' vectors, so no round writes the states; the
-        crew keeps the states without their vectors."""
+    def of(cls, states, h: HyperParameters) -> Population:
+        """The population of worker states given in any order, for a run of
+        ``h``. The rows are copies of the states' vectors, so no round writes
+        the states; the crew keeps the states without their vectors."""
         states = sorted(states, key=lambda s: s.worker_id)
         rows = [np.array([getattr(s, name) for s in states], dtype=np.float64)
                 for name in ("w", "v", "w_p", "f_p")]
-        crew = Crew.of(tuple(replace(s, w=None, v=None, w_p=None) for s in states))
+        crew = Crew.of(tuple(replace(s, w=None, v=None, w_p=None) for s in states), h)
         return cls(crew, *rows)
 
     def __len__(self) -> int:
@@ -340,7 +301,7 @@ def worker_step(
     """
     crew = pop.crew
     c0 = inertia_schedule(h, t)
-    c1, c2 = crew.draws[0][t], crew.draws[1][t]
+    c1, c2 = crew.draws.c1[t], crew.draws.c2[t]
     if w_g is None:
         c2 = np.zeros_like(c1)
     count, dim = pop.w.shape
@@ -436,7 +397,7 @@ def run_round(
     which are copied into a new population first and left as they are.
     """
     h, spec, attack = wiring.hyper, wiring.spec, wiring.attack
-    pop = workers if isinstance(workers, Population) else Population.of(workers)
+    pop = workers if isinstance(workers, Population) else Population.of(workers, h)
 
     # Worker phase. Blacklisted workers still train but no longer report.
     _, infos = worker_step(pop, ps.w_g, h, spec, t, collect_vectors)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from swarmlearn.core import HyperParameters, draw_table, worker_stream
+from swarmlearn.core import HyperParameters, worker_stream
 from swarmlearn.data import Rows, synthetic_blobs
 from swarmlearn.model import Batch, ModelSpec, init_params
 from swarmlearn.swarm import WorkerState
@@ -47,20 +47,18 @@ def fit_softmax(spec, batch, steps=400, lr=0.5):
     return w
 
 
-def hand_workers(h, seed, features, labels, pools, coefficients=True, **fields):
+def hand_workers(seed, features, labels, pools, **fields):
     """Workers built by hand the way a run builds them: worker k's pool is
-    the ``Rows`` of ``features``/``labels`` at ``pools[k]``, its draws are
-    its row of the ``core.draw_table`` of ``seed`` and its stream is that
-    seed's worker stream. ``fields`` gives other ``WorkerState`` fields as
-    one value per worker; the rest are those of a FedAvg worker (no model,
+    the ``Rows`` of ``features``/``labels`` at ``pools[k]`` and its stream is
+    that seed's worker stream. ``fields`` gives other ``WorkerState`` fields
+    as one value per worker; the rest are those of a FedAvg worker (no model,
     no scoring set, a best score of inf)."""
-    table = draw_table(seed, range(len(pools)), [len(p) for p in pools], h, coefficients)
     workers = []
     for k, pool in enumerate(pools):
         given = dict(w=None, v=None, w_p=None, f_p=math.inf, score_set=None)
         given.update({name: values[k] for name, values in fields.items()})
         workers.append(WorkerState(
             worker_id=k, train_features=Rows(features, pool), train_labels=Rows(labels, pool),
-            stream=worker_stream(seed, k), draws=table[k], **given,
+            stream=worker_stream(seed, k), **given,
         ))
     return workers

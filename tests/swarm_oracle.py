@@ -2,12 +2,14 @@
 
 This is the engine the package ran before its rounds moved to a population of
 (U, D) rows: every worker takes ``worker_step`` and ``score_and_update_best``
-on its own, and the moved worker is a ``dataclasses.replace`` copy. The
-population engine must reproduce it bit for bit.
+on its own, and the moved worker is a ``dataclasses.replace`` copy. Its step
+quantities are ``StepInfo`` rows, one per worker; ``rows`` reads a round's
+``StepInfos`` arrays the same way. The population engine must reproduce the
+oracle bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,10 +20,44 @@ from swarmlearn.swarm import (
     PsState,
     RoundOutcome,
     ScalarReport,
-    StepInfo,
+    StepInfos,
     invitation_order,
     verify_upload,
 )
+
+
+@dataclass(frozen=True)
+class StepInfo:
+    """One worker's step quantities (vectors only when asked)."""
+
+    worker_id: int
+    c0: float
+    c1: float
+    c2: float          # as applied; 0.0 while no global best exists
+    batch_loss: float
+    grad_sq: float
+    w_pre: np.ndarray | None = None
+    w_post: np.ndarray | None = None
+    v_pre: np.ndarray | None = None
+    v_post: np.ndarray | None = None
+    w_p_pre: np.ndarray | None = None
+    w_g_used: np.ndarray | None = None
+    grad: np.ndarray | None = None
+
+
+def rows(infos: StepInfos) -> tuple[StepInfo, ...]:
+    """A round's step infos as one ``StepInfo`` per worker, in worker-id
+    order; the vectors are rows of the round's (U, D) arrays."""
+    out = []
+    for u, worker_id in enumerate(infos.ids):
+        vectors = {name: stacked[u] for name, stacked in infos.vectors.items()}
+        if vectors:
+            vectors["w_g_used"] = infos.w_g_used
+        out.append(StepInfo(
+            worker_id, infos.c0, float(infos.c1[u]), float(infos.c2[u]),
+            float(infos.batch_losses[u]), float(infos.grad_sq[u]), **vectors,
+        ))
+    return tuple(out)
 
 
 def hybrid_update(w, v, w_p, w_g, c0, c1, c2, alpha, grad):

@@ -72,7 +72,7 @@ class OracleCosineStats(analysis.CosineStats):
         recursion_res = 0.0
         vel_res = 0.0
         grad_sqs = []
-        for info in infos:
+        for info in swarm_oracle.rows(infos):
             grad_sqs.append(info.grad_sq)
             self.grad_sq_sum += info.grad_sq
             self.grad_sq_count += 1
@@ -510,7 +510,7 @@ class TestDivergenceBound:
         )
         w0 = np.zeros(param_count(spec))
         workers = hand_workers(
-            h, 0, population.features, population.labels, [np.arange(len(ds))],
+            0, population.features, population.labels, [np.arange(len(ds))],
             w=[w0.copy()], v=[np.zeros_like(w0)], w_p=[w0.copy()],
             f_p=[loss(spec, w0, population)], score_set=[population],
         )

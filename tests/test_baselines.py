@@ -44,7 +44,7 @@ class TestFedAvg:
         setup, _ = small_setup(seed=2, h=h)
         workers = make_workers(setup, h, False, "none")
         w0 = setup.init_w.copy()
-        w1, losses = fedavg_round(Crew.of(workers), w0, h, setup.spec, 0)
+        w1, losses = fedavg_round(Crew.of(workers, h), w0, h, setup.spec, 0)
         want_w1, want_losses = fedavg_oracle(workers, w0, h, setup.spec, 0, setup.seed)
         assert w1.tobytes() == want_w1.tobytes()
         assert losses.tobytes() == want_losses.tobytes()
@@ -55,10 +55,9 @@ class TestFedAvg:
         h = HyperParameters(rounds=3, num_workers=2, batch_size=5)
         rng = np.random.default_rng(11)
         workers = hand_workers(
-            h, 5, rng.standard_normal((6, 4)), rng.integers(0, 3, 6),
-            [np.arange(3), np.arange(3, 6)], coefficients=False,
+            5, rng.standard_normal((6, 4)), rng.integers(0, 3, 6), [np.arange(3), np.arange(3, 6)]
         )
-        crew = Crew.of(workers)
+        crew = Crew.of(workers, h)
         w = rng.standard_normal(param_count(spec))
         for t in range(h.rounds):
             want_w, want_losses = fedavg_oracle(workers, w, h, spec, t, seed=5)
@@ -72,16 +71,16 @@ class TestFedAvg:
         h = HyperParameters(rounds=1, num_workers=1, batch_size=2)
         features = np.array([[1.0, 2.0], [1.0, 2.0]])
         labels = np.array([0, 1])
-        workers = hand_workers(h, 0, features, labels, [np.arange(2)], coefficients=False)
+        workers = hand_workers(0, features, labels, [np.arange(2)])
         w0 = np.zeros(param_count(spec))
-        w1, _ = fedavg_round(Crew.of(workers), w0, h, spec, 0)
+        w1, _ = fedavg_round(Crew.of(workers, h), w0, h, spec, 0)
         assert np.array_equal(w1, w0)
 
     def test_single_worker_is_standalone_sgd(self):
         h = HyperParameters(rounds=10, num_workers=1, batch_size=5)
         setup, _ = small_setup(seed=3, h=h)
         workers = make_workers(setup, h, False, "none")
-        crew = Crew.of(workers)
+        crew = Crew.of(workers, h)
         w = setup.init_w.copy()
         for t in range(h.rounds):
             w, _ = fedavg_round(crew, w, h, setup.spec, t)
@@ -175,7 +174,7 @@ class TestPso:
 
         n = h.num_workers
         workers = hand_workers(
-            h, seed, common.features, common.labels, [np.arange(8)] * n,
+            seed, common.features, common.labels, [np.arange(8)] * n,
             w=[w.copy() for w in starts], v=[np.zeros(dim)] * n, w_p=[w.copy() for w in starts],
             f_p=[objective(w) for w in starts], score_set=[common] * n,
         )
@@ -310,7 +309,7 @@ class TestRunVariant:
             assert s.w is s.w_p and s.v is workers[0].v and not s.v.any()
             assert np.shares_memory(s.w, setup.init_w) and not s.w.flags.writeable
             assert not s.v.flags.writeable
-        pop = Population.of(workers)
+        pop = Population.of(workers, h)
         assert not any(np.shares_memory(rows, setup.init_w) or np.shares_memory(rows, workers[0].v)
                        for rows in (pop.w, pop.v, pop.w_p))
 

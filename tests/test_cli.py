@@ -293,7 +293,8 @@ class TestReport:
         (lambda text: text.replace("\nfedavg,1,", "\nfedavg,one,", 1), "line 2"),
         (lambda text: text.replace("total_vector_uplinks", "uplinks", 1), "total_vector_uplinks"),
         (lambda text: _set_total(text, "fedavg", 0), "line 2"),
-    ], ids=["non_integer_seed", "missing_column", "zero_fedavg_total"])
+        (lambda text: text + text.splitlines()[1] + "\r\n", "line 6: fedavg seed 1 repeats line 2"),
+    ], ids=["non_integer_seed", "missing_column", "zero_fedavg_total", "repeated_pair"])
     def test_malformed_summary_is_a_config_error(self, tmp_path, capsys, edit, named):
         path = write_config(tmp_path)
         out = tmp_path / "out"

@@ -220,12 +220,14 @@ class TestNumpyStreamAlgorithm:
 
 # --- the vectorized draw table ----------------------------------------------------
 
-def assert_table_is_numpy(table, seed, worker_ids, pools, h, coefficients):
-    assert len(table) == len(worker_ids)
-    for draws, worker_id, pool in zip(table, worker_ids, pools):
+def assert_table_is_numpy(table, seed, worker_ids, pool, h, coefficients):
+    shape = (h.rounds, len(worker_ids))
+    assert table.c1.shape == table.c2.shape == shape
+    assert table.batches.shape == (*shape, min(h.batch_size, pool))
+    for u, worker_id in enumerate(worker_ids):
         for t in range(h.rounds):
             c1, c2, batch = stream_draws(worker_stream(seed, worker_id), t, pool, h, coefficients)
-            t1, t2, t_batch = draws.c1[t], draws.c2[t], draws.batches[t]
+            t1, t2, t_batch = table.c1[t, u], table.c2[t, u], table.batches[t, u]
             assert (t1, t2) == (c1, c2)
             assert t_batch.dtype == batch.dtype and t_batch.tobytes() == batch.tobytes()
 
@@ -241,9 +243,7 @@ def derivations(monkeypatch):
 tables = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32 - 1),
     "worker_ids": st.lists(st.integers(0, 200), min_size=1, max_size=4, unique=True),
-    "pools": st.lists(
-        st.one_of(st.integers(1, 40), st.integers(1, 12_000)), min_size=4, max_size=4
-    ),
+    "pool": st.one_of(st.integers(1, 40), st.integers(1, 12_000)),
     "rounds": st.integers(1, 4),
     "batch": st.integers(1, 63),
     "deltas": st.tuples(DELTAS, DELTAS),
@@ -255,18 +255,17 @@ class TestDrawTable:
     @settings(max_examples=150, deadline=None)
     @given(tables)
     def test_table_equals_numpy_stream_by_stream(self, case):
-        ids = case["worker_ids"]
-        pools = case["pools"][: len(ids)]
+        ids, pool = case["worker_ids"], case["pool"]
         h = HyperParameters(rounds=case["rounds"], batch_size=case["batch"],
                             delta_c1=case["deltas"][0], delta_c2=case["deltas"][1])
-        table = draw_table(case["seed"], ids, pools, h, case["coefficients"])
-        assert_table_is_numpy(table, case["seed"], ids, pools, h, case["coefficients"])
+        table = draw_table(case["seed"], ids, pool, h, case["coefficients"])
+        assert_table_is_numpy(table, case["seed"], ids, pool, h, case["coefficients"])
 
     def test_numpy_derives_only_the_guard_stream(self, derivations):
         h = HyperParameters(rounds=200, batch_size=10)
-        table = draw_table(1, range(10), [900] * 10, h)
+        table = draw_table(1, range(10), 900, h)
         assert len(derivations) == 1
-        assert_table_is_numpy(table, 1, range(10), [900] * 10, h, True)
+        assert_table_is_numpy(table, 1, range(10), 900, h, True)
 
     def test_rejected_draws_fall_back_to_numpy(self, monkeypatch, derivations):
         # flag every third lane as rejected and spoil its draw: numpy redraws
@@ -280,18 +279,18 @@ class TestDrawTable:
 
         monkeypatch.setattr(core._Pcg64Lanes, "bounded", rejecting)
         h = HyperParameters(rounds=6, batch_size=5)
-        table = draw_table(4, [0, 1], [30, 30], h)
+        table = draw_table(4, [0, 1], 30, h)
         assert len(derivations) == 4 + 1     # the (t, worker) lanes 0, 3, 6, 9 and the guard
-        assert_table_is_numpy(table, 4, [0, 1], [30, 30], h, True)
+        assert_table_is_numpy(table, 4, [0, 1], 30, h, True)
 
     def test_guard_mismatch_hands_every_stream_to_numpy(self, monkeypatch, derivations):
         # a vectorized path that silently disagrees with numpy (as a numpy
         # whose choice changed would) is caught by the per-table guard
         monkeypatch.setattr(core._Pcg64Lanes, "next32", lambda self: self.next64() & 7)
         h = HyperParameters(rounds=3, batch_size=4)
-        table = draw_table(2, [0, 1, 2], [50, 50, 50], h)
+        table = draw_table(2, [0, 1, 2], 50, h)
         assert len(derivations) == 1 + 3 * 3
-        assert_table_is_numpy(table, 2, [0, 1, 2], [50, 50, 50], h, True)
+        assert_table_is_numpy(table, 2, [0, 1, 2], 50, h, True)
 
     @pytest.mark.parametrize("seed, pool, batch", [
         (2**32, 300, 10),           # the seed takes two entropy words
@@ -300,6 +299,6 @@ class TestDrawTable:
     ])
     def test_uncovered_streams_are_drawn_by_numpy(self, derivations, seed, pool, batch):
         h = HyperParameters(rounds=2, batch_size=batch)
-        table = draw_table(seed, [0, 1], [pool, pool], h)
+        table = draw_table(seed, [0, 1], pool, h)
         assert len(derivations) == 2 * 2
-        assert_table_is_numpy(table, seed, [0, 1], [pool, pool], h, True)
+        assert_table_is_numpy(table, seed, [0, 1], pool, h, True)

@@ -1,6 +1,8 @@
 """Source hygiene checks that need no linter: every module-level import in the
 package is used in its module, re-exported through ``__all__``, or marked
-``# noqa: F401`` on its own line (a binding kept for perfbench's span hooks)."""
+``# noqa: F401`` on its own line (a binding kept for perfbench's span hooks);
+and every top-level function and class is referenced somewhere in the
+package outside its own definition, or listed in an ``__all__``."""
 import ast
 from pathlib import Path
 
@@ -9,16 +11,27 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "swarmlearn"
 
 
-def unused_imports(source: str) -> list[str]:
-    """The names a module imports at module level and never reads."""
-    tree = ast.parse(source)
-    lines = source.splitlines()
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+# Reachable only from the tests, which import them; ROADMAP item 15 either
+# surfaces them in a run's output or moves them into the tests.
+KNOWN_UNREFERENCED = ["analysis.run_genie_aligned", "analysis.divergence_bound_check"]
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in ``__all__``."""
+    names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
-            used |= {elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)}
+            names |= {elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)}
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports at module level and never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported(tree)
     unused = []
     for node in tree.body:
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -50,3 +63,56 @@ def test_an_unused_import_is_found():
         "x = np.zeros(1)\n"
     )
     assert unused_imports(source) == ["math"]
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of every top-level function and class in ``sources``
+    (module name to source) that no name or attribute in any of them reads
+    outside the definition itself, and no ``__all__`` lists. An import alone
+    is no reference."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    listed = set().union(*(exported(tree) for tree in trees.values()))
+    unreferenced = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            referenced = any(
+                id(ref) not in own and (
+                    isinstance(ref, ast.Name) and ref.id == node.name
+                    or isinstance(ref, ast.Attribute) and ref.attr == node.name
+                )
+                for other in trees.values() for ref in ast.walk(other)
+            )
+            if not referenced and node.name not in listed:
+                unreferenced.append(f"{module}.{node.name}")
+    return unreferenced
+
+
+def test_every_definition_is_referenced():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_definitions(sources) == KNOWN_UNREFERENCED
+
+
+def test_an_unreferenced_definition_is_found():
+    sources = {
+        "a": (
+            "from .b import helper, imported_only  # noqa: F401\n"
+            "def loop():\n"
+            "    return loop()\n"
+            "def used():\n"
+            "    return helper()\n"
+            "class Listed:\n"
+            "    pass\n"
+            "__all__ = ['Listed', 'used']\n"
+        ),
+        "b": (
+            "import a\n"
+            "def helper():\n"
+            "    return a.used\n"
+            "def imported_only():\n"
+            "    pass\n"
+        ),
+    }
+    assert unreferenced_definitions(sources) == ["a.loop", "b.imported_only"]

@@ -20,7 +20,6 @@ from swarmlearn.swarm import (
     ProtocolWiring,
     PsState,
     ScalarReport,
-    StepInfo,
     WorkerState,
     hybrid_update,
     initial_ps,
@@ -155,9 +154,9 @@ class TestWorkerStep:
     def test_social_pull_suppressed_without_global_best(self):
         setup, h = small_setup(seed=3)
         workers = make_workers(setup, h, True, "shared")
-        moved, infos = worker_step(Population.of(workers), None, h, setup.spec, 0,
+        moved, infos = worker_step(Population.of(workers, h), None, h, setup.spec, 0,
                                    collect_vectors=True)
-        for worker, info in zip(workers, infos):
+        for worker, info in zip(workers, swarm_oracle.rows(infos)):
             assert info.c2 == 0.0 and info.w_g_used is None
             # identical init means the personal pull is zero at round 0 too:
             # the step reduces to -alpha * grad
@@ -181,7 +180,7 @@ class TestWorkerStep:
         with np.errstate(invalid="ignore"), pytest.raises(
             NonFiniteError, match="^round 0, worker 2: non-finite values in worker 2 parameters"
         ):
-            worker_step(Population.of(bad), None, h, setup.spec, 0)
+            worker_step(Population.of(bad, h), None, h, setup.spec, 0)
 
     def test_row_runs_change_no_bit(self, monkeypatch):
         # a row budget of one row steps every worker in its own run, as the
@@ -199,7 +198,7 @@ class TestWorkerStep:
 class TestScoreAndBest:
     def test_first_score_replaces_sentinel(self):
         setup, h, workers, _ = swarm_world(seed=6)
-        pop = Population.of([replace(workers[0], f_p=math.inf), *workers[1:]])
+        pop = Population.of([replace(workers[0], f_p=math.inf), *workers[1:]], h)
         # scoring writes in place: keep the others' bests as they were
         before = pop.f_p[1:].tobytes(), pop.w_p[1:].tobytes()
         scored = score_and_update_best(pop, setup.spec)
@@ -213,7 +212,7 @@ class TestScoreAndBest:
         # every best holds other parameters than w at exactly the score w
         # earns: an equal score is no improvement, so no best moves
         setup, h, workers, _ = swarm_world(seed=6)
-        pop = Population.of([replace(s, w_p=s.w_p + 1.0) for s in workers])
+        pop = Population.of([replace(s, w_p=s.w_p + 1.0) for s in workers], h)
         pop.f_p[:] = loss(setup.spec, pop.w, pop.crew.score)
         before = pop.w_p.tobytes(), pop.f_p.tobytes()
         assert score_and_update_best(pop, setup.spec) is pop
@@ -230,7 +229,7 @@ class TestScoreAndBest:
             return loss(spec, w, batch, **kwargs)
 
         monkeypatch.setattr(swarm, "loss", counting)
-        score_and_update_best(Population.of(workers), setup.spec)
+        score_and_update_best(Population.of(workers, h), setup.spec)
         score_set = workers[0].score_set
         assert calls == [((h.num_workers, param_count(setup.spec)), h.num_workers * len(score_set))]
 
@@ -262,14 +261,14 @@ class TestInvitationOrder:
 class TestVerification:
     def test_honest_upload_accepted_exactly(self):
         setup, h, workers, wiring = swarm_world(seed=8)
-        scored = score_and_update_best(Population.of(workers), setup.spec)
+        scored = score_and_update_best(Population.of(workers, h), setup.spec)
         assert verify_upload(
             scored.w_p[1].copy(), scored.f_p[1], wiring.shared_score, setup.spec, 1e-9
         )
 
     def test_wrong_claim_rejected(self):
         setup, h, workers, wiring = swarm_world(seed=8)
-        scored = score_and_update_best(Population.of(workers), setup.spec)
+        scored = score_and_update_best(Population.of(workers, h), setup.spec)
         assert not verify_upload(
             scored.w_p[1].copy(), scored.f_p[1] - 0.55, wiring.shared_score, setup.spec, 1e-9
         )
@@ -285,7 +284,7 @@ class TestPopulation:
     def test_rows_read_as_worker_state_views(self):
         setup, h, workers, wiring = swarm_world(seed=9)
         pop, ps, outcome = run_round(workers, initial_ps(), wiring, 0)
-        assert isinstance(pop, Population) and len(pop) == len(outcome.step_infos) == h.num_workers
+        assert isinstance(pop, Population) and len(pop) == len(outcome.step_infos.ids) == h.num_workers
         for u, state in enumerate(pop):
             assert isinstance(state, WorkerState) and state.worker_id == u
             assert np.shares_memory(state.w, pop.w) and state.f_p == pop.f_p[u]
@@ -335,13 +334,15 @@ class TestPopulation:
     def test_step_infos_read_the_round_arrays(self):
         setup, h, workers, wiring = swarm_world(seed=9)
         _, _, outcome = run_round(workers, initial_ps(), wiring, 0, collect_vectors=True)
-        infos = outcome.step_infos
+        infos = swarm_oracle.rows(outcome.step_infos)
         assert [i.worker_id for i in infos] == list(range(h.num_workers))
         assert np.array([i.batch_loss for i in infos]).tobytes() == outcome.batch_losses.tobytes()
-        # vectors are rows of the round's (U, D) arrays
-        assert infos[2].w_post.base is infos[0].w_post.base is not None
+        # the vectors are the round's (U, D) arrays, and a plain round has none
+        shape = (h.num_workers, param_count(setup.spec))
+        assert all(rows.shape == shape for rows in outcome.step_infos.vectors.values())
         _, _, plain = run_round(workers, initial_ps(), wiring, 0)
-        assert plain.step_infos == tuple(
+        assert plain.step_infos.vectors == {}
+        assert swarm_oracle.rows(plain.step_infos) == tuple(
             replace(i, w_pre=None, w_post=None, v_pre=None, v_post=None, w_p_pre=None,
                     w_g_used=None, grad=None)
             for i in infos
@@ -352,31 +353,31 @@ class TestCrew:
     @pytest.mark.parametrize("case, cause", [
         ("unequal_pools", "pools differ in length"),
         ("array_pool", "pools are not Rows of one training set"),
-        ("no_table", "has no draw table"),
+        ("foreign_stream", "not the worker streams of one seed"),
         ("unequal_scoring", "scoring sets differ in length"),
         ("missing_scoring", "some have none"),
     ])
     def test_workers_without_one_layout_are_rejected(self, case, cause):
-        # a run's workers share one draw table, equal-length pools of one
-        # training set and one scoring length; hand-built workers that do
-        # not are refused, not run down a slower path
+        # a run's workers carry the worker streams of one seed, equal-length
+        # pools of one training set and one scoring length; hand-built
+        # workers that do not are refused, not run down a slower path
         setup, h, workers, _ = swarm_world(seed=9)
         features, labels = setup.train.features, setup.train.labels
         if case == "unequal_pools":
-            workers = hand_workers(h, 9, features, labels, [np.arange(6), np.arange(6, 13)])
+            workers = hand_workers(9, features, labels, [np.arange(6), np.arange(6, 13)])
         elif case == "array_pool":
             pool = workers[1].train_labels.index
             workers[1] = replace(workers[1], train_features=features[pool],
                                  train_labels=Rows(labels, pool))
-        elif case == "no_table":
-            workers[1] = replace(workers[1], draws=None)
+        elif case == "foreign_stream":
+            workers[1] = replace(workers[1], stream=worker_stream(10, 1))
         elif case == "unequal_scoring":
             workers = [replace(w, score_set=Batch(features[:20 + k], labels[:20 + k]))
                        for k, w in enumerate(workers)]
         else:
             workers[1] = replace(workers[1], score_set=None)
         with pytest.raises(ValueError, match=cause):
-            Crew.of(workers)
+            Crew.of(workers, h)
 
 
 class TestRunRound:
@@ -513,8 +514,11 @@ class TestRoundInvariants:
             assert before <= ps.blacklist
             assert outcome.scalar_uplinks == h.num_workers - len(before)
             # the order workers are handed in changes nothing
-            same = replace(shuffled_outcome, batch_losses=None) == replace(outcome, batch_losses=None)
+            same = replace(shuffled_outcome, batch_losses=None, step_infos=None) == \
+                replace(outcome, batch_losses=None, step_infos=None)
             assert same
+            assert swarm_oracle.rows(shuffled_outcome.step_infos) == \
+                swarm_oracle.rows(outcome.step_infos)
             assert shuffled_outcome.batch_losses.tobytes() == outcome.batch_losses.tobytes()
             assert ps_shuffled.f_g == ps.f_g and ps_shuffled.blacklist == ps.blacklist
             assert (ps.w_g is None) == (ps_shuffled.w_g is None)
@@ -552,10 +556,11 @@ def assert_same_round(got, want):
         assert getattr(outcome, name) == getattr(want_outcome, name), name
     assert exact(outcome.f_g) == exact(want_outcome.f_g)
     assert outcome.batch_losses.tobytes() == want_outcome.batch_losses.tobytes()
-    assert len(outcome.step_infos) == len(want_outcome.step_infos)
-    for info, want_info in zip(outcome.step_infos, want_outcome.step_infos):
+    got_infos = swarm_oracle.rows(outcome.step_infos)
+    assert len(got_infos) == len(want_outcome.step_infos)
+    for info, want_info in zip(got_infos, want_outcome.step_infos):
         assert info.worker_id == want_info.worker_id
-        for field in fields(StepInfo)[1:]:
+        for field in fields(swarm_oracle.StepInfo)[1:]:
             got_value, want_value = getattr(info, field.name), getattr(want_info, field.name)
             assert exact(got_value) == exact(want_value), (info.worker_id, field.name)
     assert ps.blacklist == want_ps.blacklist
