@@ -18,6 +18,23 @@ from .data import emd
 from .model import Batch, ModelSpec, gradient, param_count
 from .swarm import Population, ProtocolWiring, PsState, StepInfos, run_round
 
+# Columns of the tables built here. A round's row carries COSINE_COLUMNS with
+# cosine_stats on and DIVERGENCE_COLUMNS with divergence on, in this order;
+# diagnostics.csv has one DIAGNOSTICS_COLUMNS row per diagnosed swarm run.
+COSINE_COLUMNS = (
+    "cos_min", "cos_max", "cos_p_min", "cos_p_max", "cos_g_min", "cos_g_max",
+    "ratio_min", "ratio_max", "ratio_p_min", "ratio_p_max", "ratio_g_min", "ratio_g_max",
+    "grad_sq_mean", "recursion_residual", "velocity_residual",
+)
+DIVERGENCE_COLUMNS = ("divergence_mean", "divergence_max")
+DIAGNOSTICS_COLUMNS = (
+    "variant", "seed", "lipschitz", "f0", "f_star", "phi_e", "phi_e_degenerate",
+    "phi_e_delta", "bound", "bound_vacuous", "empirical_mean_grad_sq",
+    "empirical_min_grad_sq", "q_min", "q_max", "q_p_min", "q_p_max",
+    "q_g_min", "q_g_max", "u_min", "u_max", "u_p_min", "u_p_max",
+    "u_g_min", "u_g_max", "zero_velocity_samples", "zero_grad_samples",
+)
+
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a[u] @ b[u]`` for every row u of two (U, D) arrays, bit for bit.
@@ -125,24 +142,17 @@ class CosineStats:
         self.samples += n_sampled
         self.zero_grad += len(infos.ids) - n_sampled
         gnorm, neg_grad = row_norms(grad), -grad
-        round_vals: dict[str, list[float]] = {}
-        for vec, ext_q, ext_u, cos_key, ratio_key in (
-            (v_pre, self.q, self.u, "cos", "ratio"),
-            (v_p, self.qp, self.up, "cos_p", "ratio_p"),
-            (v_g, self.qg, self.ug, "cos_g", "ratio_g"),
+        row = dict.fromkeys(COSINE_COLUMNS, math.nan)   # nan where a round has no samples
+        for vec, ext_q, ext_u, suffix in (
+            (v_pre, self.q, self.u, ""), (v_p, self.qp, self.up, "_p"), (v_g, self.qg, self.ug, "_g"),
         ):
             cos, ratio, vnorm = _cosines(vec, neg_grad, gnorm)
             kept = sampled & (vnorm != 0.0)
             self.zero_velocity += n_sampled - int(np.count_nonzero(kept))
-            round_vals[cos_key], round_vals[ratio_key] = cos[kept].tolist(), ratio[kept].tolist()
-            ext_q.add(*round_vals[cos_key])
-            ext_u.add(*round_vals[ratio_key])
-
-        row: dict[str, float] = {}
-        for key in ("cos", "cos_p", "cos_g", "ratio", "ratio_p", "ratio_g"):
-            vals = round_vals[key]
-            row[f"{key}_min"] = min(vals) if vals else math.nan
-            row[f"{key}_max"] = max(vals) if vals else math.nan
+            for ext, key, vals in ((ext_q, "cos", cos[kept].tolist()), (ext_u, "ratio", ratio[kept].tolist())):
+                ext.add(*vals)
+                if vals:
+                    row[f"{key}{suffix}_min"], row[f"{key}{suffix}_max"] = min(vals), max(vals)
         row["grad_sq_mean"] = float(np.mean(grad_sqs))
         row["recursion_residual"] = max(0.0, *np.max(np.abs(v_post - recon), axis=1).tolist())
         row["velocity_residual"] = max(
@@ -195,6 +205,32 @@ def convergence_bound(f0: float, f_star: float, rounds: int, phi: float) -> Conv
     return ConvergenceBound((f0 - f_star) / (rounds * phi), phi < 0.0)
 
 
+def diagnostics_row(
+    variant: str, seed: int, h: HyperParameters, stats: CosineStats, lipschitz: float, f0: float
+) -> dict:
+    """A run's ``diagnostics.csv`` row, keyed by DIAGNOSTICS_COLUMNS.
+
+    ``lipschitz`` and ``f0`` belong to the seed. The bound is taken down to
+    ``f_star = 0.0``, the certified floor: a cross-entropy is never negative.
+    """
+    phi = phi_e(h, stats, lipschitz)
+    phi_deg = h.alpha - 2 * lipschitz * h.alpha ** 2   # phi_e of plain SGD: every velocity zero
+    f_star = 0.0
+    bound = convergence_bound(f0, f_star, h.rounds, phi)
+    row = {
+        "variant": variant, "seed": seed, "lipschitz": lipschitz, "f0": f0, "f_star": f_star,
+        "phi_e": phi, "phi_e_degenerate": phi_deg, "phi_e_delta": phi - phi_deg,
+        "bound": bound.value, "bound_vacuous": int(bound.vacuous),
+        "empirical_mean_grad_sq": stats.mean_grad_sq, "empirical_min_grad_sq": stats.min_grad_sq,
+    }
+    for name, ext in (("q", stats.q), ("q_p", stats.qp), ("q_g", stats.qg),
+                      ("u", stats.u), ("u_p", stats.up), ("u_g", stats.ug)):
+        row[f"{name}_min"], row[f"{name}_max"] = ext.min, ext.max
+    row["zero_velocity_samples"] = stats.zero_velocity
+    row["zero_grad_samples"] = stats.zero_grad
+    return row
+
+
 @dataclass(frozen=True)
 class GenieState:
     """Reference trainer on the pooled population data (inertia + full gradient)."""
@@ -219,6 +255,17 @@ def genie_step(
     w_new, v_new = inertia_update(g.w, g.v, c0, h.alpha, grad)
     require_finite(w_new, f"genie parameters at round {t}")
     return GenieState(w_new, v_new)
+
+
+def divergence_row(worker_ws: np.ndarray, genie: GenieState) -> dict[str, float]:
+    """The round's DIVERGENCE_COLUMNS: mean and max distance of the (U, D)
+    worker models to the genie, relative to the genie's norm; nan while the
+    genie sits at the origin."""
+    gnorm = float(np.linalg.norm(genie.w))
+    if gnorm == 0.0:
+        return dict.fromkeys(DIVERGENCE_COLUMNS, math.nan)
+    divs = row_norms(worker_ws - genie.w) / gnorm
+    return {"divergence_mean": float(np.mean(divs)), "divergence_max": float(np.max(divs))}
 
 
 def class_batches(population: Batch, num_classes: int) -> list[Batch | None]:
@@ -257,7 +304,7 @@ class LipschitzEstimate:
     samples: int
 
 SAFETY_FACTOR = 1.5
-# Fewest probe pairs the Lipschitz estimator accepts; config loading checks it too.
+# Fewest probe pairs the Lipschitz estimator accepts; DiagnosticsFlags checks it too.
 MIN_LIPSCHITZ_PROBES = 2
 
 

@@ -90,6 +90,14 @@ def check_variants(
 class DiagnosticsFlags:
     cosine_stats: bool = False
     divergence: bool = False
+    lipschitz_probes: int = 16   # probe pairs of the per-seed Lipschitz estimate
+
+    def __post_init__(self):
+        if self.cosine_stats and self.lipschitz_probes < analysis.MIN_LIPSCHITZ_PROBES:
+            raise ValueError(
+                f"lipschitz_probes must be >= {analysis.MIN_LIPSCHITZ_PROBES} "
+                "when cosine_stats is on"
+            )
 
 
 @dataclass
@@ -152,7 +160,7 @@ def run_variant(
             diag_row.update(stats.consume_round(outcome.step_infos))
         if genie is not None:
             genie = analysis.genie_step(genie, h, setup.spec, population, t)
-            diag_row.update(_divergence_row(worker_ws, genie))
+            diag_row.update(analysis.divergence_row(worker_ws, genie))
         if w_test is not tested:
             tested, test_acc = w_test, accuracy(setup.spec, w_test, setup.test)
         records.append(
@@ -175,14 +183,6 @@ def run_variant(
     return RunResult(
         row.name, setup.seed, records, stats, setup.partition_digest, setup.init_digest
     )
-
-
-def _divergence_row(worker_ws: np.ndarray, genie):
-    gnorm = float(np.linalg.norm(genie.w))
-    if gnorm == 0.0:
-        return {"divergence_mean": math.nan, "divergence_max": math.nan}
-    divs = analysis.row_norms(worker_ws - genie.w) / gnorm
-    return {"divergence_mean": float(np.mean(divs)), "divergence_max": float(np.max(divs))}
 
 
 def _swarm_rounds(row: Variant, setup, h, attack, verification, collect_vectors):

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
+from .analysis import COSINE_COLUMNS, DIAGNOSTICS_COLUMNS, DIVERGENCE_COLUMNS
 from .attacks import AttackSpec
 from .baselines import VARIANTS, DiagnosticsFlags, RunResult, check_variants, run_variant
 from .core import DOMAIN_DIAG, HyperParameters, NonFiniteError, derived_rng
@@ -42,23 +43,10 @@ BASE_COLUMNS = (
     "train_loss_mean", "train_loss_min", "train_loss_max", "test_accuracy",
     "scalar_uplinks", "vector_uplinks", "vector_broadcasts", "detections",
 )
-COSINE_COLUMNS = (
-    "cos_min", "cos_max", "cos_p_min", "cos_p_max", "cos_g_min", "cos_g_max",
-    "ratio_min", "ratio_max", "ratio_p_min", "ratio_p_max", "ratio_g_min", "ratio_g_max",
-    "grad_sq_mean", "recursion_residual", "velocity_residual",
-)
-DIVERGENCE_COLUMNS = ("divergence_mean", "divergence_max")
 SUMMARY_COLUMNS = (
     "variant", "seed", "rounds", "final_test_accuracy", "final_f_g",
     "total_scalar_uplinks", "total_vector_uplinks", "total_vector_broadcasts",
     "total_detections", "partition_digest", "init_digest",
-)
-DIAGNOSTICS_COLUMNS = (
-    "variant", "seed", "lipschitz", "f0", "f_star", "phi_e", "phi_e_degenerate",
-    "phi_e_delta", "bound", "bound_vacuous", "empirical_mean_grad_sq",
-    "empirical_min_grad_sq", "q_min", "q_max", "q_p_min", "q_p_max",
-    "q_g_min", "q_g_max", "u_min", "u_max", "u_p_min", "u_p_max",
-    "u_g_min", "u_g_max", "zero_velocity_samples", "zero_grad_samples",
 )
 COMMUNICATION_COLUMNS = (
     "seed", "swarm_variant", "fedavg_variant",
@@ -83,26 +71,27 @@ class ExperimentConfig:
     attack: AttackSpec
     verification: bool
     diagnostics: DiagnosticsFlags
-    lipschitz_probes: int
 
 
 # INI key of a dataclass field, where the two names differ.
-_INI_NAMES = {"inertia_mode": "inertia"}
+_INI_NAMES = {"inertia_mode": "inertia", "attacker_ids": "attackers"}
 
-# [data] and [hyper] hold one key per field of these dataclasses, which also
-# own the defaults and the validation.
-_DATACLASS_SECTIONS = {"data": DataConfig, "hyper": HyperParameters}
+# These sections hold one key per field of their dataclass, which also owns
+# the defaults and the validation.
+_DATACLASS_SECTIONS = {
+    "data": DataConfig, "hyper": HyperParameters, "attack": AttackSpec, "diagnostics": DiagnosticsFlags,
+}
 
 _SECTION_KEYS = {
     "experiment": {"variants", "seeds", "output_dir"},
+    "model": {"kind", "hidden_dims", "init"},
     **{
         section: {_INI_NAMES.get(f.name, f.name) for f in dataclasses.fields(cls)}
         for section, cls in _DATACLASS_SECTIONS.items()
     },
-    "model": {"kind", "hidden_dims", "init"},
-    "attack": {"strategy", "attackers", "scale", "verification"},
-    "diagnostics": {"cosine_stats", "divergence", "lipschitz_probes"},
 }
+# the server's switch for screening uploads sits beside the attack it screens
+_SECTION_KEYS["attack"].add("verification")
 
 
 def _get(parser, section, key, default, conv):
@@ -134,20 +123,28 @@ def _str_list(raw: str) -> tuple[str, ...]:
     return tuple(tok for tok in raw.replace(",", " ").split())
 
 
+# A key's parser, by the type of its field's default; other types parse themselves.
+_PARSERS = {type(None): str, bool: _bool, frozenset: lambda raw: frozenset(_int_list(raw))}
+
+
 def _from_section(parser, section: str):
     """The section's dataclass, built from its keys; missing keys keep the field defaults."""
     cls = _DATACLASS_SECTIONS[section]
     kwargs = {}
     for f in dataclasses.fields(cls):
-        conv = str if f.default is None else type(f.default)
-        kwargs[f.name] = _get(parser, section, _INI_NAMES.get(f.name, f.name), f.default, conv)
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        conv = _PARSERS.get(type(default), type(default))
+        kwargs[f.name] = _get(parser, section, _INI_NAMES.get(f.name, f.name), default, conv)
     return cls(**kwargs)
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a config; every check that needs no data runs here."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} is malformed: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
@@ -181,24 +178,11 @@ def load_config(path: str) -> ExperimentConfig:
         hidden_dims = _get(parser, "model", "hidden_dims", (), _int_list)
         init_mode = _get(parser, "model", "init", "shared", str)
         check_model(model_kind, hidden_dims, init_mode)
-        attack = AttackSpec(
-            frozenset(_get(parser, "attack", "attackers", (), _int_list)),
-            _get(parser, "attack", "strategy", "none", str),
-            _get(parser, "attack", "scale", 10.0, float),
-        )
+        attack = _from_section(parser, "attack")
         check_variants(variants, hyper.num_workers, attack, data.global_train, data.global_score)
+        diagnostics = _from_section(parser, "diagnostics")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    diagnostics = DiagnosticsFlags(
-        cosine_stats=_get(parser, "diagnostics", "cosine_stats", False, _bool),
-        divergence=_get(parser, "diagnostics", "divergence", False, _bool),
-    )
-    lipschitz_probes = _get(parser, "diagnostics", "lipschitz_probes", 16, int)
-    if diagnostics.cosine_stats and lipschitz_probes < analysis.MIN_LIPSCHITZ_PROBES:
-        raise ConfigError(
-            f"[diagnostics] lipschitz_probes must be >= {analysis.MIN_LIPSCHITZ_PROBES} "
-            "when cosine_stats is on"
-        )
 
     return ExperimentConfig(
         variants=variants,
@@ -212,7 +196,6 @@ def load_config(path: str) -> ExperimentConfig:
         attack=attack,
         verification=_get(parser, "attack", "verification", True, _bool),
         diagnostics=diagnostics,
-        lipschitz_probes=lipschitz_probes,
     )
 
 
@@ -229,15 +212,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _diag_columns(cfg: ExperimentConfig) -> tuple[str, ...]:
-    cols: tuple[str, ...] = ()
-    if cfg.diagnostics.cosine_stats:
-        cols += COSINE_COLUMNS
-    if cfg.diagnostics.divergence:
-        cols += DIVERGENCE_COLUMNS
-    return cols
 
 
 def write_run_csv(path: Path, records: list[RoundRecord], diag_cols: tuple[str, ...]):
@@ -277,40 +251,10 @@ def _seed_diagnostics(cfg: ExperimentConfig, setup: ExperimentSetup) -> tuple[fl
     """The Lipschitz estimate and f0, which depend only on the seed's setup."""
     population = population_batch(setup)
     lip = analysis.estimate_model_lipschitz(
-        setup.spec, population, cfg.data.classes, cfg.lipschitz_probes,
+        setup.spec, population, cfg.data.classes, cfg.diagnostics.lipschitz_probes,
         derived_rng(setup.seed, DOMAIN_DIAG, 0),
     )
     return lip.l_global, loss(setup.spec, initial_w_for(setup, 0), population)
-
-
-def _diagnostics_row(cfg: ExperimentConfig, result: RunResult, lipschitz: float, f0: float) -> dict:
-    stats = result.cosine_stats
-    phi = analysis.phi_e(cfg.hyper, stats, lipschitz)
-    phi_deg = cfg.hyper.alpha - 2 * lipschitz * cfg.hyper.alpha ** 2
-    f_star = 0.0   # the certified floor: a cross-entropy is never negative
-    bound = analysis.convergence_bound(f0, f_star, cfg.hyper.rounds, phi)
-    return {
-        "variant": result.variant,
-        "seed": result.seed,
-        "lipschitz": lipschitz,
-        "f0": f0,
-        "f_star": f_star,
-        "phi_e": phi,
-        "phi_e_degenerate": phi_deg,
-        "phi_e_delta": phi - phi_deg,
-        "bound": bound.value,
-        "bound_vacuous": int(bound.vacuous),
-        "empirical_mean_grad_sq": stats.mean_grad_sq,
-        "empirical_min_grad_sq": stats.min_grad_sq,
-        "q_min": stats.q.min, "q_max": stats.q.max,
-        "q_p_min": stats.qp.min, "q_p_max": stats.qp.max,
-        "q_g_min": stats.qg.min, "q_g_max": stats.qg.max,
-        "u_min": stats.u.min, "u_max": stats.u.max,
-        "u_p_min": stats.up.min, "u_p_max": stats.up.max,
-        "u_g_min": stats.ug.min, "u_g_max": stats.ug.max,
-        "zero_velocity_samples": stats.zero_velocity,
-        "zero_grad_samples": stats.zero_grad,
-    }
 
 
 def _write_table(path: Path, columns: tuple[str, ...], rows: list[dict]):
@@ -335,7 +279,8 @@ def run_experiment(config_path: str, output_dir: str | None = None,
     seeds = (seed_override,) if seed_override is not None else cfg.seeds
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     runs_dir = out / "runs"
-    diag_cols = _diag_columns(cfg)
+    diag_cols = ((COSINE_COLUMNS if cfg.diagnostics.cosine_stats else ())
+                 + (DIVERGENCE_COLUMNS if cfg.diagnostics.divergence else ()))
 
     results: list[RunResult] = []
     setups: dict[int, ExperimentSetup] = {}
@@ -388,7 +333,10 @@ def run_experiment(config_path: str, output_dir: str | None = None,
         per_seed = {
             seed: _seed_diagnostics(cfg, setups[seed]) for seed in {r.seed for r in diagnosed}
         }
-        rows = [_diagnostics_row(cfg, r, *per_seed[r.seed]) for r in diagnosed]
+        rows = [
+            analysis.diagnostics_row(r.variant, r.seed, cfg.hyper, r.cosine_stats, *per_seed[r.seed])
+            for r in diagnosed
+        ]
         _write_table(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS, rows)
 
     print(f"wrote {out / 'summary.csv'}")

@@ -54,6 +54,8 @@ class DataConfig:
             raise ValueError(f"partition must be one of {PARTITION_MODES}")
         if self.source == "idx" and (self.idx_images is None or self.idx_labels is None):
             raise ValueError("idx source needs idx_images and idx_labels paths")
+        if (self.idx_test_images is None) != (self.idx_test_labels is None):
+            raise ValueError("idx_test_images and idx_test_labels go together: set both or neither")
         for key in ("per_worker", "num_shards", "shards_per_worker"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
@@ -158,7 +160,7 @@ def build_setup(
             derived_rng(seed, DOMAIN_ORCHESTRATOR, 3),
         )
         test = test_ds.as_batch()
-    elif cfg.idx_test_images is not None and cfg.idx_test_labels is not None:
+    elif cfg.idx_test_images is not None:
         test = datamod.load_idx(cfg.idx_test_images, cfg.idx_test_labels, cfg.classes).as_batch()
     else:
         taken = set(int(i) for i in plan.all_indices())
@@ -234,7 +236,7 @@ def make_workers(
     workers = []
     for i, (features, labels) in enumerate(pools):
         if score_mode == "local":
-            # scored every round, so it stays a contiguous copy
+            # scored here once for f_p; the crew stacks its own copy for the rounds
             local_idx = setup.plan.worker_indices[i]
             score_set = Batch(setup.train.features[local_idx], setup.train.labels[local_idx])
         w0 = (setup.init_w if setup.init_mode == "shared" else setup.init_w[i]).view()

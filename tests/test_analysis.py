@@ -329,6 +329,27 @@ class TestConvergenceBound:
             stats.consume_round(outcome.step_infos)
         assert stats.min_grad_sq <= stats.mean_grad_sq
 
+    def test_diagnostics_row_follows_its_columns(self):
+        h = HyperParameters(rounds=6, num_workers=3, batch_size=5)
+        setup = build_setup(SMALL, "softmax_regression", (), h, 6)
+        workers = make_workers(setup, h, True, "shared")
+        wiring = ProtocolWiring(h, setup.spec, setup.shared.score.as_batch(), True, AttackSpec())
+        stats = analysis.CosineStats(h)
+        ps = initial_ps()
+        for t in range(h.rounds):
+            workers, ps, outcome = run_round(workers, ps, wiring, t, collect_vectors=True)
+            stats.consume_round(outcome.step_infos)
+        row = analysis.diagnostics_row("cbdsl_full", 6, h, stats, 3.0, 1.25)
+        assert tuple(row) == analysis.DIAGNOSTICS_COLUMNS
+        phi = analysis.phi_e(h, stats, 3.0)
+        degenerate = h.alpha - 2 * 3.0 * h.alpha ** 2
+        bound = analysis.convergence_bound(1.25, 0.0, h.rounds, phi)
+        assert row["f_star"] == 0.0 and row["phi_e"] == phi
+        assert row["phi_e_degenerate"] == degenerate and row["phi_e_delta"] == phi - degenerate
+        assert row["bound"] == bound.value and row["bound_vacuous"] == int(bound.vacuous)
+        assert (row["q_p_min"], row["u_g_max"]) == (stats.qp.min, stats.ug.max)
+        assert row["zero_grad_samples"] == stats.zero_grad
+
     def test_trailing_window_gradient_decay(self):
         # on a converging configuration (evenly spread data, decaying
         # inertia) the windowed mean of ||grad||^2 shrinks toward the tail

@@ -21,7 +21,7 @@ from swarmlearn.baselines import (
     fedavg_round,
     run_variant,
 )
-from swarmlearn.cli import COSINE_COLUMNS, DIVERGENCE_COLUMNS
+from swarmlearn.analysis import COSINE_COLUMNS, DIVERGENCE_COLUMNS
 from swarmlearn.swarm import Crew, Population, ProtocolWiring, initial_ps, run_round
 
 from conftest import hand_workers
@@ -372,7 +372,7 @@ class TestRunVariant:
         )
         for r in result.records:
             # the exact CSV schema: a misnamed key would become a column of nan
-            assert set(r.diag) == set(DIVERGENCE_COLUMNS)
+            assert tuple(r.diag) == DIVERGENCE_COLUMNS
             assert r.diag["divergence_mean"] >= 0
 
     def test_cosine_diagnostics_columns(self):
@@ -383,7 +383,7 @@ class TestRunVariant:
         assert result.cosine_stats is not None
         assert result.cosine_stats.samples > 0
         for r in result.records:
-            assert set(r.diag) == set(COSINE_COLUMNS)
+            assert tuple(r.diag) == COSINE_COLUMNS
 
     def test_mlp_variant_end_to_end(self):
         h = HyperParameters(rounds=4, num_workers=3, batch_size=5)

@@ -2,7 +2,8 @@
 import pytest
 
 import swarmlearn.cli as cli_mod
-from swarmlearn.baselines import VARIANTS
+from swarmlearn.attacks import AttackSpec
+from swarmlearn.baselines import VARIANTS, DiagnosticsFlags
 from swarmlearn.cli import load_config, run_experiment
 from swarmlearn.core import HyperParameters
 from swarmlearn.experiment import DataConfig
@@ -22,6 +23,9 @@ def test_section_keys_are_pinned():
         "c0", "delta_c1", "delta_c2", "alpha", "batch_size", "rounds",
         "num_workers", "verify_tolerance", "inertia",
     }
+    # AttackSpec fields plus the server's verification switch
+    assert cli_mod._SECTION_KEYS["attack"] == {"attackers", "strategy", "scale", "verification"}
+    assert cli_mod._SECTION_KEYS["diagnostics"] == {"cosine_stats", "divergence", "lipschitz_probes"}
 
 
 def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
@@ -29,14 +33,24 @@ def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
     cfg = load_config(str(path))
     assert cfg.data == DataConfig()
     assert cfg.hyper == HyperParameters()
+    assert cfg.attack == AttackSpec()
+    assert cfg.diagnostics == DiagnosticsFlags()
+    assert cfg.verification is True
 
 
 def test_ini_values_reach_the_dataclasses(tmp_path):
-    text = BASE_CONFIG.format(out=tmp_path) + "inertia = linear\nalpha = 0.25\n"
+    text = BASE_CONFIG.format(out=tmp_path).replace("fedavg, ", "") + (
+        "inertia = linear\nalpha = 0.25\n"
+        "[attack]\nstrategy = fake_loss_scaled\nattackers = 0, 2\nscale = 3.5\nverification = off\n"
+        "[diagnostics]\ncosine_stats = on\ndivergence = yes\nlipschitz_probes = 4\n"
+    )
     cfg = load_config(str(write_config(tmp_path, text)))
     assert cfg.hyper.inertia_mode == "linear"
     assert cfg.hyper.alpha == 0.25 and cfg.hyper.num_workers == 4
     assert cfg.data.separation == 6.0 and cfg.data.idx_images is None
+    assert cfg.attack == AttackSpec(frozenset({0, 2}), "fake_loss_scaled", 3.5)
+    assert cfg.diagnostics == DiagnosticsFlags(cosine_stats=True, divergence=True, lipschitz_probes=4)
+    assert cfg.verification is False
 
 
 def test_variant_table_matches_the_paper():
@@ -79,6 +93,9 @@ def test_variant_table_matches_the_paper():
         ("seeds = 1, 2", "seeds = 1, 1"),
         # used to exit 2 with numpy's "expected non-negative integer", naming no key
         ("seeds = 1, 2", "seeds = 2, -1"),
+        # half an IDX test pair used to be dropped for a carved test split
+        ("separation = 6.0", "separation = 6.0\nidx_test_images = test-images.idx"),
+        ("separation = 6.0", "separation = 6.0\nidx_test_labels = test-labels.idx"),
     ],
 )
 def test_rejected_before_anything_runs(tmp_path, old, new):
@@ -103,6 +120,26 @@ def test_repeated_and_negative_entries_name_their_key(tmp_path, capsys, old, new
     text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
     assert run_experiment(str(write_config(tmp_path, text))) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # each used to exit 1 with a traceback from configparser or the decoder
+        "[experiment]\nvariants = fedavg\nvariants = cbdsl_full\nseeds = 1\n",
+        "variants = fedavg\n[experiment]\nseeds = 1\n",
+        "[experiment]\nvariants = fedavg\nseeds = 1\nno equals sign here\n",
+        "[experiment]\nvariants = fedavg\nseeds = 1\n# caf\xe9\n",
+    ],
+    ids=["duplicate-key", "no-section-header", "line-without-equals", "not-utf8"],
+)
+def test_malformed_config_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "exp.ini"
+    path.write_bytes(text.replace("[experiment]\n", f"[experiment]\noutput_dir = {tmp_path / 'out'}\n")
+                     .encode("latin-1"))
+    assert run_experiment(str(path)) == 2
+    assert capsys.readouterr().err.startswith(f"config error: config file {path} is malformed: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
