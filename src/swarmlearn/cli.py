@@ -179,6 +179,11 @@ def load_config(path: str) -> ExperimentConfig:
         init_mode = _get(parser, "model", "init", "shared", str)
         check_model(model_kind, hidden_dims, init_mode)
         attack = _from_section(parser, "attack")
+        # either half alone would run unattacked
+        if attack.attacker_ids and attack.strategy == "none":
+            raise ValueError("[attack] attackers need a strategy other than none")
+        if attack.strategy != "none" and not attack.attacker_ids:
+            raise ValueError(f"[attack] strategy {attack.strategy} names no attackers")
         check_variants(variants, hyper.num_workers, attack, data.global_train, data.global_score)
         diagnostics = _from_section(parser, "diagnostics")
     except ValueError as exc:

@@ -151,13 +151,13 @@ def synthetic_blobs(num_classes: int, per_class: int, dim: int, separation: floa
         raise ValueError("num_classes, per_class and dim must be positive")
     rng = _as_rng(seed)
     features = np.empty((num_classes * per_class, dim))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
-    for c in range(num_classes):
+    for c, block in enumerate(features.reshape(num_classes, per_class, dim)):
         mean = np.zeros(dim)
         mean[c % dim] = separation * (1 + c // dim)
-        block = slice(c * per_class, (c + 1) * per_class)
-        features[block] = mean + rng.standard_normal((per_class, dim))
-        labels[block] = c
+        # drawn in place: the same draws, and the same sums as mean + draws
+        rng.standard_normal(out=block)
+        block += mean
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     return Dataset(features, labels, num_classes)
 
 

@@ -54,6 +54,10 @@ class DataConfig:
             raise ValueError(f"partition must be one of {PARTITION_MODES}")
         if self.source == "idx" and (self.idx_images is None or self.idx_labels is None):
             raise ValueError("idx source needs idx_images and idx_labels paths")
+        paths = [key for key in ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")
+                 if getattr(self, key) is not None]
+        if self.source == "synthetic" and paths:
+            raise ValueError(f"synthetic source reads no IDX files; remove {', '.join(paths)}")
         if (self.idx_test_images is None) != (self.idx_test_labels is None):
             raise ValueError("idx_test_images and idx_test_labels go together: set both or neither")
         for key in ("per_worker", "num_shards", "shards_per_worker"):

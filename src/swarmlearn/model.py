@@ -75,14 +75,14 @@ class Batch:
     def __post_init__(self):
         if self.features.ndim not in (2, 3):
             raise ValueError("features must be (samples, input_dim) or (U, samples, input_dim)")
-        if self.features.shape[:-1] != np.shape(self.labels):
+        if self.features.shape[:-1] != self.labels.shape:
             raise ValueError("features and labels must have equal length")
-        if len(self) == 0:
+        if self.labels.size == 0:
             raise ValueError("batch must be nonempty")
 
     def __len__(self) -> int:
         """The number of samples, U·B for a stack."""
-        return np.size(self.labels)
+        return self.labels.size
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -111,53 +111,18 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-0.05, 0.05, size=param_count(spec))
 
 
-def _forward(spec: ModelSpec, w: np.ndarray, features: np.ndarray):
-    """Returns (logits, per-layer activations, per-layer pre-activations)."""
-    layers = _unpack(spec, w)
-    activations = [features]
-    pre = []
-    a = features
-    for i, (weight, bias) in enumerate(layers):
-        z = a @ weight.T + bias
-        pre.append(z)
-        if i < len(layers) - 1:
-            a = np.maximum(z, 0.0)
-            activations.append(a)
-    return pre[-1], activations, pre
-
-
-def logits(spec: ModelSpec, w: np.ndarray, features: np.ndarray) -> np.ndarray:
-    return _forward(spec, w, features)[0]
-
-
-def _row_max(z: np.ndarray) -> np.ndarray:
-    """Max of each row of the (..., rows, classes) logits.
-
-    numpy reduces the short class axis of a C-ordered array row by row; on a
-    copy with the last two axes swapped the same maxima come from one pass
-    over contiguous rows, 3-5x faster at 500 rows of 10 classes. A max rounds
-    nothing, so the value does not depend on the order (NaN still propagates).
-    """
-    return z.swapaxes(-1, -2).copy().max(axis=-2)
-
-
-def _cross_entropy_terms(z: np.ndarray, labels: np.ndarray):
-    """Each row's log-sum-exp minus its true-class logit, together with the
-    shifted exponentials, their row sums and the (row, class) picks of the
-    true classes in the (rows, classes) view, which the softmax reuses."""
-    m = _row_max(z)
-    e = np.exp(z - m[..., None])
-    s = e.sum(axis=-1)
-    rows = z.reshape(-1, z.shape[-1])
-    picks = np.arange(len(rows)), labels.reshape(-1)
-    return m + np.log(s) - rows[picks].reshape(s.shape), e, s, picks
-
-
-def _mean_over_rows(per_row: np.ndarray) -> float | np.ndarray:
-    """The mean of each slice's rows: a float, or a (U,) array for a stack.
-    Sum then divide, the same arithmetic as ``np.mean``."""
-    value = per_row.sum(axis=-1) / per_row.shape[-1]
-    return value if value.ndim else float(value)
+def _forward(layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray):
+    """The logits of ``_unpack``'s layers, and each layer's input: the
+    features, then each hidden layer's ReLU output."""
+    inputs = [features]
+    for weight, bias in layers[:-1]:
+        a = inputs[-1] @ weight.T
+        a += bias
+        inputs.append(np.maximum(a, 0.0, out=a))
+    weight, bias = layers[-1]
+    z = inputs[-1] @ weight.T
+    z += bias
+    return z, inputs
 
 
 class Workspace:
@@ -250,7 +215,7 @@ def _score_slices(spec: ModelSpec, w: np.ndarray, features: np.ndarray, labels: 
     per_row = np.log(_class_sum(e))
     np.add(m, per_row, out=per_row)
     per_row -= zc.reshape(-1)[at]
-    return _mean_over_rows(per_row)
+    return per_row.sum(axis=-1) / n
 
 
 def loss(
@@ -263,15 +228,15 @@ def loss(
     U batches, row u scoring slice u. The result is bit-equal to the
     row-major terms ``loss_and_gradient`` takes; a stack is scored in groups
     of slices that fit the scoring budget, in the buffers of ``work`` when
-    given."""
+    given. Past one pairwise block of classes the score is the value
+    ``loss_and_gradient`` returns."""
     features, labels = batch.features, batch.labels
     if w.ndim == 2 and (labels.ndim != 2 or len(w) != len(labels)):
         raise ValueError(f"a ({len(w)}, D) parameter stack needs a stack of {len(w)} batches")
     if spec.num_classes > _PAIRWISE_BLOCK:
         if w.ndim == 2:
             return np.array([loss(spec, row, Batch(x, y)) for row, x, y in zip(w, features, labels)])
-        z = logits(spec, w, features)
-        return _mean_over_rows(_cross_entropy_terms(z, labels)[0])
+        return loss_and_gradient(spec, w, batch)[0]
     buffer = _fresh if work is None else work.array
     if labels.ndim == 1:
         return float(_score_slices(spec, w, features[None], labels[None], buffer)[0])
@@ -288,49 +253,64 @@ def loss(
 
 
 def loss_and_gradient(
-    spec: ModelSpec, w: np.ndarray, batch: Batch
+    spec: ModelSpec, w: np.ndarray, batch: Batch, out: np.ndarray | None = None
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """``loss`` and its gradient, bit-identical to the plain formulas.
 
     For a stack of U batches: U losses and a (U, D) gradient, slice u
     bit-equal to the call on batch u alone. One exp and one row sum serve
-    both the log-sum-exp and the softmax, and each layer's gradient is
-    written into its view of one flat buffer.
+    both the log-sum-exp and the softmax, one array of flat offsets picks
+    the true classes for both, and each layer's gradient is written into its
+    view of one flat buffer: a fresh one, or ``out``, a C-contiguous array of
+    the gradient's shape and dtype that shares no memory with the inputs,
+    which is then returned.
     """
-    z, activations, pre = _forward(spec, w, batch.features)
-    per_row, e, s, picks = _cross_entropy_terms(z, batch.labels)
-    value = _mean_over_rows(per_row)
+    layers = _unpack(spec, w)
+    z, inputs = _forward(layers, batch.features)
+    n = z.shape[-2]
+    # the true-class entries, at flat offsets row * C + label
+    at = np.arange(0, z.size, z.shape[-1])
+    at += batch.labels.reshape(-1)
+    # numpy reduces short rows one by one; the max over contiguous rows of a
+    # class-major copy is the same (a max rounds nothing) and faster past a
+    # few dozen rows
+    m = z.swapaxes(-1, -2).copy().max(axis=-2)
+    e = np.subtract(z, m[..., None])
+    np.exp(e, out=e)
+    s = e.sum(axis=-1)
+    per_row = np.log(s)
+    np.add(m, per_row, out=per_row)
+    per_row -= z.reshape(-1)[at].reshape(s.shape)
+    value = per_row.sum(axis=-1) / n
 
     delta = e
     delta /= s[..., None]  # the softmax
-    delta.reshape(-1, delta.shape[-1])[picks] -= 1.0  # e is fresh, so this is a view
-    delta /= z.shape[-2]
+    delta.reshape(-1)[at] -= 1.0  # e is fresh, so this is a view
+    delta /= n
 
-    layers = _unpack(spec, w)
     lead = z.shape[:-2]
-    grad = np.empty((*lead, w.shape[0]), dtype=z.dtype)
+    grad = np.empty((*lead, w.shape[0]), dtype=z.dtype) if out is None else out
+    if not (grad.flags.c_contiguous and grad.dtype == z.dtype):
+        raise ValueError(f"out must be a C-contiguous {z.dtype} array")
     grad_layers = _unpack(spec, grad, lead)
     for i in range(len(layers) - 1, -1, -1):
         g_w, g_b = grad_layers[i]
-        np.matmul(delta.swapaxes(-1, -2), activations[i], out=g_w)
+        np.matmul(delta.swapaxes(-1, -2), inputs[i], out=g_w)
         delta.sum(axis=-2, out=g_b)
-        if i > 0:
-            delta = (delta @ layers[i][0]) * (pre[i - 1] > 0)
-    return value, grad
+        if i > 0:  # a ReLU output is positive where its pre-activation is
+            delta = (delta @ layers[i][0]) * (inputs[i] > 0)
+    return (value if value.ndim else float(value)), grad
 
 
 def gradient(spec: ModelSpec, w: np.ndarray, batch: Batch) -> np.ndarray:
     return loss_and_gradient(spec, w, batch)[1]
 
 
-def predict(spec: ModelSpec, w: np.ndarray, features: np.ndarray) -> np.ndarray:
-    # argmax breaks ties toward the lowest class index
-    return np.argmax(logits(spec, w, features), axis=1)
-
-
 def accuracy(spec: ModelSpec, w: np.ndarray, data) -> float:
-    """Fraction of argmax-correct predictions over a Batch or Dataset."""
-    if len(data.features) == 0:
+    """Fraction of argmax-correct predictions over a Batch or Dataset; argmax
+    breaks ties toward the lowest class index."""
+    n = len(data.features)
+    if n == 0:
         raise ValueError("accuracy needs a nonempty dataset")
-    preds = predict(spec, w, data.features)
-    return float(np.mean(preds == data.labels))
+    z = _forward(_unpack(spec, w), data.features)[0]
+    return float(np.count_nonzero(z.argmax(axis=-1) == data.labels) / n)

@@ -293,11 +293,12 @@ def worker_step(
     population and the step infos.
 
     Each gradient is a mini-batch estimate taken at the worker's
-    pre-update parameters, one kernel call per worker; the social pull is
-    suppressed until a global best exists. The rows are updated in runs that
-    fit ``_ROW_BUDGET_BYTES``, through the crew's scratch buffers. A
-    non-finite row names its worker and leaves the population partly
-    stepped.
+    pre-update parameters, one kernel call per worker, written into a run's
+    (rows, D) gradient buffer (the collected ``grad`` rows when collecting
+    vectors); the social pull is suppressed until a global best exists. The
+    rows are updated in runs that fit ``_ROW_BUDGET_BYTES``, through the
+    crew's scratch buffers. A non-finite row names its worker and leaves the
+    population partly stepped.
     """
     crew = pop.crew
     c0 = inertia_schedule(h, t)
@@ -312,19 +313,17 @@ def worker_step(
     run = max(1, _ROW_BUDGET_BYTES // (8 * dim))
     for lo in range(0, count, run):
         rows = slice(lo, min(count, lo + run))
-        part = []
         batch = crew.batches(t, rows)
+        part = (vectors["grad"][rows] if collect_vectors
+                else crew.work.array("grad", (len(batch.labels), dim)))
         for u, (x, y) in enumerate(zip(batch.features, batch.labels), lo):
             try:
-                value, grad = loss_and_gradient(spec, pop.w[u], Batch(x, y))
+                batch_losses[u] = loss_and_gradient(spec, pop.w[u], Batch(x, y), out=part[u - lo])[0]
             except Exception as exc:
                 exc.args = (f"round {t}, worker {crew.ids[u]}: {exc}",)
                 raise
-            batch_losses[u], grad_sq[u] = value, grad @ grad
-            part.append(grad)
-        part = np.stack(part) if len(part) > 1 else part[0][None]
-        if collect_vectors:
-            vectors["grad"][rows] = part
+        # each row's ``grad @ grad``, bit for bit (``analysis.row_dots``)
+        grad_sq[rows] = np.matmul(part[:, None, :], part[:, :, None])[:, 0, 0]
         # v' needs w as it was, so w' is formed in the scratch that held the
         # displacement's terms and copied in
         w, v = pop.w[rows], pop.v[rows]

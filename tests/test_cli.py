@@ -140,6 +140,17 @@ class TestRunExperiment:
         assert run_experiment(str(path), output_dir=str(tmp_path / "b")) == 0
         assert hash_tree(tmp_path / "a") == hash_tree(tmp_path / "b")
 
+    def test_no_numpy_scalar_repr_reaches_a_table(self, tmp_path):
+        # a numpy scalar formatted by repr prints as np.float64(0.138)
+        config = desk_config(tmp_path, "out", diagnostics={"divergence": "on"})
+        assert run_experiment(str(config)) == 0
+        assert report_communication(str(tmp_path / "out")) == 0
+        tables = sorted((tmp_path / "out").rglob("*.csv"))
+        assert {p.name for p in tables} >= {"summary.csv", "diagnostics.csv", "communication.csv"}
+        assert len(tables) == 3 + 5
+        for path in tables:
+            assert "np." not in path.read_text(), path.name
+
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path)
         assert run_experiment(str(path), output_dir=str(tmp_path / "o"), seed_override=9) == 0

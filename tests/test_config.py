@@ -96,6 +96,13 @@ def test_variant_table_matches_the_paper():
         # half an IDX test pair used to be dropped for a carved test split
         ("separation = 6.0", "separation = 6.0\nidx_test_images = test-images.idx"),
         ("separation = 6.0", "separation = 6.0\nidx_test_labels = test-labels.idx"),
+        # IDX paths under the synthetic source used to be ignored
+        ("separation = 6.0", "separation = 6.0\nidx_images = images.idx\nidx_labels = labels.idx"),
+        ("separation = 6.0",
+         "separation = 6.0\nidx_test_images = test-images.idx\nidx_test_labels = test-labels.idx"),
+        # either half of an attack used to run unattacked (exit 0, no detections)
+        ("batch_size = 5", "batch_size = 5\n[attack]\nattackers = 0\nstrategy = none"),
+        ("batch_size = 5", "batch_size = 5\n[attack]\nstrategy = fake_loss_garbage"),
     ],
 )
 def test_rejected_before_anything_runs(tmp_path, old, new):

@@ -90,6 +90,23 @@ class TestSyntheticBlobs:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 5, 3), (10, 90, 20), (12, 7, 4), (3, 40, 784)])
+    @pytest.mark.parametrize("separation", [0.0, 2.6, 1e3])
+    def test_bytes_equal_the_mean_plus_draws_formula(self, shape, separation):
+        # the blocks are drawn in place and shifted; the plain formula draws
+        # each block fresh and adds it to the class mean
+        classes, per_class, dim = shape
+        rng = np.random.default_rng(17)
+        want = np.empty((classes * per_class, dim))
+        for c in range(classes):
+            mean = np.zeros(dim)
+            mean[c % dim] = separation * (1 + c // dim)
+            want[c * per_class : (c + 1) * per_class] = mean + rng.standard_normal((per_class, dim))
+        ds = synthetic_blobs(classes, per_class, dim, separation, seed=17)
+        assert ds.features.tobytes() == want.tobytes()
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tobytes() == np.repeat(np.arange(classes), per_class).astype(np.int64).tobytes()
+
     def test_means_respect_separation(self):
         ds = synthetic_blobs(10, 200, 4, 6.0, seed=3)
         means = np.array([ds.features[ds.labels == c].mean(axis=0) for c in range(10)])

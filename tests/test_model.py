@@ -153,6 +153,22 @@ class TestGradient:
             assert loss(MLP, w, batch) == pytest.approx(loss(MLP, w, shuffled), rel=1e-12)
             assert np.allclose(gradient(MLP, w, batch), gradient(MLP, w, shuffled), atol=1e-13)
 
+    @pytest.mark.parametrize("spec", [SOFTMAX, MLP], ids=["softmax", "mlp"])
+    def test_gradient_written_into_out(self, spec, rng):
+        w = rng.standard_normal(param_count(spec))
+        batch = random_batch(rng, spec)
+        want_value, want = loss_and_gradient(spec, w, batch)
+        rows = np.full((3, param_count(spec)), np.nan)
+        out = rows[1]
+        value, grad = loss_and_gradient(spec, w, batch, out=out)
+        assert value == want_value and grad is out
+        assert rows[1].tobytes() == want.tobytes() and np.isnan(rows[[0, 2]]).all()
+        for bad in (np.empty((param_count(spec), 2))[:, 0], np.empty(param_count(spec), np.float32)):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                loss_and_gradient(spec, w, batch, out=bad)
+        with pytest.raises(ValueError):
+            loss_and_gradient(spec, w, batch, out=rows)
+
     def test_loss_and_gradient_agree_with_parts(self, rng):
         w = rng.standard_normal(param_count(MLP))
         batch = random_batch(rng, MLP)
@@ -241,6 +257,31 @@ def test_kernels_bit_identical_to_plain_formulas(case):
     assert w.tobytes() == w_before
     assert batch.features.tobytes() == features_before
     assert batch.labels.tobytes() == labels_before
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_accuracy_is_a_brute_force_argmax_count(case):
+    # scale 0 ties every logit exactly: the first class of a tie is predicted
+    spec, w, batch = case
+    dims = [spec.input_dim, *spec.hidden_dims, spec.num_classes]
+    a, offset = batch.features, 0
+    for i, (inp, out) in enumerate(zip(dims, dims[1:])):
+        weight = w[offset : offset + out * inp].reshape(out, inp)
+        a = a @ weight.T + w[offset + out * inp : offset + out * inp + out]
+        offset += out * inp + out
+        if i < len(dims) - 2:
+            a = np.maximum(a, 0.0)
+    correct = 0
+    for row, y in zip(a, batch.labels):
+        best = 0
+        for c in range(1, len(row)):
+            if row[c] > row[best]:
+                best = c
+        correct += best == y
+    got = accuracy(spec, w, batch)
+    assert type(got) is float
+    assert got == correct / len(batch)
 
 
 @st.composite
