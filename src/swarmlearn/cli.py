@@ -30,9 +30,9 @@ from .core import DOMAIN_DIAG, HyperParameters, NonFiniteError, derived_rng
 from .experiment import (
     DataConfig,
     ExperimentSetup,
+    ModelConfig,
     RoundRecord,
     build_setup,
-    check_model,
     initial_w_for,
     population_batch,
 )
@@ -79,12 +79,12 @@ _INI_NAMES = {"inertia_mode": "inertia", "attacker_ids": "attackers"}
 # These sections hold one key per field of their dataclass, which also owns
 # the defaults and the validation.
 _DATACLASS_SECTIONS = {
-    "data": DataConfig, "hyper": HyperParameters, "attack": AttackSpec, "diagnostics": DiagnosticsFlags,
+    "data": DataConfig, "model": ModelConfig, "hyper": HyperParameters, "attack": AttackSpec,
+    "diagnostics": DiagnosticsFlags,
 }
 
 _SECTION_KEYS = {
     "experiment": {"variants", "seeds", "output_dir"},
-    "model": {"kind", "hidden_dims", "init"},
     **{
         section: {_INI_NAMES.get(f.name, f.name) for f in dataclasses.fields(cls)}
         for section, cls in _DATACLASS_SECTIONS.items()
@@ -124,7 +124,7 @@ def _str_list(raw: str) -> tuple[str, ...]:
 
 
 # A key's parser, by the type of its field's default; other types parse themselves.
-_PARSERS = {type(None): str, bool: _bool, frozenset: lambda raw: frozenset(_int_list(raw))}
+_PARSERS = {type(None): str, bool: _bool, tuple: _int_list, frozenset: lambda raw: frozenset(_int_list(raw))}
 
 
 def _from_section(parser, section: str):
@@ -135,7 +135,10 @@ def _from_section(parser, section: str):
         default = f.default_factory() if f.default is dataclasses.MISSING else f.default
         conv = _PARSERS.get(type(default), type(default))
         kwargs[f.name] = _get(parser, section, _INI_NAMES.get(f.name, f.name), default, conv)
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -174,10 +177,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         data = _from_section(parser, "data")
         hyper = _from_section(parser, "hyper")
-        model_kind = _get(parser, "model", "kind", "softmax_regression", str)
-        hidden_dims = _get(parser, "model", "hidden_dims", (), _int_list)
-        init_mode = _get(parser, "model", "init", "shared", str)
-        check_model(model_kind, hidden_dims, init_mode)
+        model = _from_section(parser, "model")
         attack = _from_section(parser, "attack")
         # either half alone would run unattacked
         if attack.attacker_ids and attack.strategy == "none":
@@ -194,9 +194,9 @@ def load_config(path: str) -> ExperimentConfig:
         seeds=seeds,
         output_dir=_get(parser, "experiment", "output_dir", "out", str),
         data=data,
-        model_kind=model_kind,
-        hidden_dims=hidden_dims,
-        init_mode=init_mode,
+        model_kind=model.kind,
+        hidden_dims=model.hidden_dims,
+        init_mode=model.init,
         hyper=hyper,
         attack=attack,
         verification=_get(parser, "attack", "verification", True, _bool),

@@ -239,15 +239,8 @@ def build_global_shared(
     return GlobalShared(ds, ds.subset(score_idx), train_idx, score_idx)
 
 
-def label_histogram(data, num_classes: int | None = None) -> np.ndarray:
-    """Empirical class frequencies of a Dataset or a label array."""
-    if hasattr(data, "labels"):
-        labels = data.labels
-        num_classes = data.num_classes if num_classes is None else num_classes
-    else:
-        labels = np.asarray(data)
-        if num_classes is None:
-            raise ValueError("num_classes is required for raw label arrays")
+def label_histogram(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Empirical class frequencies of a label array."""
     if len(labels) == 0:
         raise ValueError("cannot build a histogram of an empty set")
     counts = np.bincount(labels, minlength=num_classes)

@@ -70,6 +70,20 @@ class DataConfig:
 
 
 @dataclass(frozen=True)
+class ModelConfig:
+    kind: str = "softmax_regression"
+    hidden_dims: tuple[int, ...] = ()
+    init: str = "shared"
+
+    def __post_init__(self):
+        """Reject a model before any data exists: ModelSpec runs its kind and
+        hidden-layer rules on placeholder sizes, as the data sets the input size."""
+        if self.init not in INIT_MODES:
+            raise ValueError(f"init mode must be one of {INIT_MODES}")
+        ModelSpec(self.kind, input_dim=1, num_classes=2, hidden_dims=self.hidden_dims)
+
+
+@dataclass(frozen=True)
 class RoundRecord:
     round_index: int
     variant: str
@@ -111,17 +125,6 @@ def _digest_array(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()
 
 
-def check_model(kind: str, hidden_dims: tuple[int, ...], init_mode: str) -> None:
-    """Reject a model config before any data exists.
-
-    The input size is only known once the data is loaded, so ModelSpec runs
-    its kind and hidden-layer rules here on placeholder sizes.
-    """
-    if init_mode not in INIT_MODES:
-        raise ValueError(f"init mode must be one of {INIT_MODES}")
-    ModelSpec(kind, input_dim=1, num_classes=2, hidden_dims=tuple(hidden_dims))
-
-
 def build_setup(
     cfg: DataConfig,
     spec_kind: str,
@@ -131,7 +134,7 @@ def build_setup(
     init_mode: str = "shared",
 ) -> ExperimentSetup:
     """Build the per-seed world every variant shares."""
-    check_model(spec_kind, hidden_dims, init_mode)
+    ModelConfig(spec_kind, tuple(hidden_dims), init_mode)
 
     if cfg.source == "synthetic":
         train = datamod.synthetic_blobs(

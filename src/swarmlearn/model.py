@@ -155,15 +155,20 @@ def _fresh(name: str, shape: tuple[int, ...]) -> np.ndarray:
     return np.empty(shape)
 
 
-def _class_sum(e: np.ndarray) -> np.ndarray:
+def _class_sum(e: np.ndarray, initial: float | None = 0.0) -> np.ndarray:
     """Sum over the class axis of class-major (..., C, N) terms, adding in
-    the order numpy's pairwise summation adds a contiguous row of C <= 128
-    terms: sequentially below 8 terms, else 8 running sums combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail; the
-    row's sum is then added to the reduction's initial 0.0. The result is
-    bit-equal to summing the row-major rows with ``sum(axis=-1)``."""
+    the order numpy's pairwise summation adds a contiguous row of C terms:
+    sequentially below 8 terms; up to one block, 8 running sums combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail; past a
+    block, the sums of two halves split at a multiple of 8. The row's sum is
+    then added to the reduction's initial 0.0 (a half has none). The result
+    is bit-equal to summing the row-major rows with ``sum(axis=-1)``."""
     classes = e.shape[-2]
-    if classes < 8:
+    if classes > _PAIRWISE_BLOCK:
+        half = classes // 2 - (classes // 2) % 8
+        s = _class_sum(e[..., :half, :], None)
+        s += _class_sum(e[..., half:, :], None)
+    elif classes < 8:
         s = e[..., 0, :].copy()
         for k in range(1, classes):
             s += e[..., k, :]
@@ -177,7 +182,8 @@ def _class_sum(e: np.ndarray) -> np.ndarray:
         s = r[..., 0, :] + r[..., 1, :]
         for k in range(stop, classes):
             s += e[..., k, :]
-    s += 0.0
+    if initial is not None:
+        s += initial
     return s
 
 
@@ -228,15 +234,10 @@ def loss(
     U batches, row u scoring slice u. The result is bit-equal to the
     row-major terms ``loss_and_gradient`` takes; a stack is scored in groups
     of slices that fit the scoring budget, in the buffers of ``work`` when
-    given. Past one pairwise block of classes the score is the value
-    ``loss_and_gradient`` returns."""
+    given."""
     features, labels = batch.features, batch.labels
     if w.ndim == 2 and (labels.ndim != 2 or len(w) != len(labels)):
         raise ValueError(f"a ({len(w)}, D) parameter stack needs a stack of {len(w)} batches")
-    if spec.num_classes > _PAIRWISE_BLOCK:
-        if w.ndim == 2:
-            return np.array([loss(spec, row, Batch(x, y)) for row, x, y in zip(w, features, labels)])
-        return loss_and_gradient(spec, w, batch)[0]
     buffer = _fresh if work is None else work.array
     if labels.ndim == 1:
         return float(_score_slices(spec, w, features[None], labels[None], buffer)[0])

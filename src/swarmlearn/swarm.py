@@ -56,7 +56,7 @@ class WorkerState:
     train_labels: Rows
     score_set: Batch | None
     stream: RngStream
-    is_byzantine: bool = False
+    is_byzantine: bool = False   # forges its report and upload with the round's attack
 
 
 @dataclass
@@ -376,7 +376,7 @@ def verify_upload(
 
 def _upload_for(pop: Population, u: int, wiring: ProtocolWiring, t: int) -> np.ndarray:
     crew = pop.crew
-    if crew.byzantine[u] and wiring.attack.active:
+    if crew.byzantine[u]:
         rng = attack_stream(crew.states[u].stream.seed, crew.ids[u]).round(t)
         return attacks.forge_upload(pop.w_p[u], wiring.attack.strategy, wiring.attack.scale, rng)
     return pop.w_p[u].copy()
@@ -407,7 +407,7 @@ def run_round(
         if worker_id in ps.blacklist:
             continue
         report = ScalarReport(worker_id, float(pop.f_p[u]))
-        if crew.byzantine[u] and attack.active:
+        if crew.byzantine[u]:
             report = attacks.forge_report(report, ps.f_g, attack.strategy)
         reports.append(report)
         claimants.append(u)

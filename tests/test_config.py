@@ -1,4 +1,6 @@
 """Config schema, the variant table and exit-code classification."""
+import dataclasses
+
 import pytest
 
 import swarmlearn.cli as cli_mod
@@ -6,7 +8,7 @@ from swarmlearn.attacks import AttackSpec
 from swarmlearn.baselines import VARIANTS, DiagnosticsFlags
 from swarmlearn.cli import load_config, run_experiment
 from swarmlearn.core import HyperParameters
-from swarmlearn.experiment import DataConfig
+from swarmlearn.experiment import DataConfig, ModelConfig
 
 from test_cli import BASE_CONFIG, write_config
 
@@ -19,6 +21,7 @@ def test_section_keys_are_pinned():
         "partition", "per_worker", "num_shards", "shards_per_worker",
         "global_train", "global_score",
     }
+    assert cli_mod._SECTION_KEYS["model"] == {"kind", "hidden_dims", "init"}
     assert cli_mod._SECTION_KEYS["hyper"] == {
         "c0", "delta_c1", "delta_c2", "alpha", "batch_size", "rounds",
         "num_workers", "verify_tolerance", "inertia",
@@ -32,6 +35,7 @@ def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
     path = write_config(tmp_path, "[experiment]\nvariants = cbdsl_full\nseeds = 1\n")
     cfg = load_config(str(path))
     assert cfg.data == DataConfig()
+    assert (cfg.model_kind, cfg.hidden_dims, cfg.init_mode) == dataclasses.astuple(ModelConfig())
     assert cfg.hyper == HyperParameters()
     assert cfg.attack == AttackSpec()
     assert cfg.diagnostics == DiagnosticsFlags()
@@ -127,6 +131,31 @@ def test_repeated_and_negative_entries_name_their_key(tmp_path, capsys, old, new
     text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
     assert run_experiment(str(write_config(tmp_path, text))) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+# One bad value per dataclass section: (text replaced, replacement, the
+# dataclass's message).
+SECTION_FAULTS = {
+    "data": ("partition = shard", "partition = diagonal",
+             "partition must be one of ('iid', 'shard')"),
+    "model": ("batch_size = 5", "batch_size = 5\n[model]\ninit = random",
+              "init mode must be one of ('shared', 'per_worker')"),
+    "hyper": ("batch_size = 5", "batch_size = 0", "batch_size must be >= 1"),
+    "attack": ("batch_size = 5", "batch_size = 5\n[attack]\nstrategy = bogus",
+               "unknown attack strategy 'bogus'"),
+    "diagnostics": ("batch_size = 5",
+                    "batch_size = 5\n[diagnostics]\ncosine_stats = on\nlipschitz_probes = 1",
+                    "lipschitz_probes must be >= 2 when cosine_stats is on"),
+}
+
+
+@pytest.mark.parametrize("section", sorted(cli_mod._DATACLASS_SECTIONS))
+def test_a_dataclass_check_names_its_section(tmp_path, capsys, section):
+    old, new, message = SECTION_FAULTS[section]
+    text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
+    assert run_experiment(str(write_config(tmp_path, text))) == 2
+    assert capsys.readouterr().err == f"config error: [{section}] {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,18 @@
 package is used in its module, re-exported through ``__all__``, or marked
 ``# noqa: F401`` on its own line (a binding kept for perfbench's span hooks);
 and every top-level function and class is referenced somewhere in the
-package outside its own definition, or listed in an ``__all__``."""
+package outside its own definition, or listed in an ``__all__``; and the
+README's config reference names every INI key."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "swarmlearn"
+from swarmlearn.cli import _SECTION_KEYS
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "swarmlearn"
 
 
 # Reachable only from the tests, which import them; ROADMAP item 15 either
@@ -116,3 +121,16 @@ def test_an_unreferenced_definition_is_found():
         ),
     }
     assert unreferenced_definitions(sources) == ["a.loop", "b.imported_only"]
+
+
+def config_reference_bullets(readme: str) -> dict[str, str]:
+    """The text of each ``- `[section]` -- ...`` bullet under the README's
+    "Config reference" heading, by section."""
+    reference = readme.split("\n## Config reference\n", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(r"^- `\[(\w+)\]` -- (.*?)(?=^- |^$)", reference, re.M | re.S))
+
+
+@pytest.mark.parametrize("section", sorted(_SECTION_KEYS))
+def test_readme_names_every_config_key(section):
+    bullet = config_reference_bullets((ROOT / "README.md").read_text())[section]
+    assert _SECTION_KEYS[section] - set(re.findall(r"`(\w+)`", bullet)) == set()

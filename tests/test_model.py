@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmlearn import model
@@ -336,18 +336,29 @@ def test_stacked_slices_bit_equal_to_single_calls(case):
     assert batch.labels.tobytes() == labels_before
 
 
+# Class counts just past one pairwise block, with a half that is not a
+# multiple of 8, past two blocks, and a prime whose halves split unevenly
+# four levels deep.
+PAST_ONE_BLOCK = (129, 136, 257, 1031)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(1, 128),
+    st.integers(1, 640),
     st.integers(1, 5),
     st.integers(0, 2**32 - 1),
     st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
     st.sampled_from([0.0, 0.05, 0.5]),
 )
+@example(PAST_ONE_BLOCK[0], 3, 1, 1.0, 0.0)
+@example(PAST_ONE_BLOCK[1], 3, 2, 1e8, 0.05)
+@example(PAST_ONE_BLOCK[2], 3, 3, 1.0, 0.0)
+@example(PAST_ONE_BLOCK[3], 3, 4, 1e-8, 0.05)
 def test_class_sum_adds_in_numpys_pairwise_order(n, rows, seed, magnitude, special):
     # the explicit class-major sum pins numpy's own order for a row of n
-    # terms: magnitudes spread over many decades make a different order
-    # round differently, and a share of the entries is inf, -inf, nan or -0.0
+    # terms, whole blocks and halves of longer rows alike: magnitudes spread
+    # over many decades make a different order round differently, and a
+    # share of the entries is inf, -inf, nan or -0.0
     rng = np.random.default_rng(seed)
     with np.errstate(invalid="ignore", over="ignore"):
         terms = rng.standard_normal((rows, n)) * magnitude * 10.0 ** rng.integers(-8, 9, (rows, n))
@@ -362,11 +373,18 @@ def test_class_sum_adds_in_numpys_pairwise_order(n, rows, seed, magnitude, speci
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
-@pytest.mark.parametrize("spec", [MLP, SOFTMAX, ModelSpec("softmax_regression", 3, 130)],
-                         ids=["mlp", "softmax", "past_one_pairwise_block"])
+@pytest.mark.parametrize(
+    "spec",
+    [MLP, SOFTMAX] + [ModelSpec(kind, 3, classes, hidden)
+                      for classes in PAST_ONE_BLOCK
+                      for kind, hidden in (("softmax_regression", ()), ("mlp", (16,)))],
+    ids=["mlp", "softmax"] + [f"{kind}_{classes}" for classes in PAST_ONE_BLOCK
+                              for kind in ("softmax", "mlp")],
+)
 def test_scoring_groups_and_wide_outputs_keep_every_bit(spec, monkeypatch, rng):
     # a stack scored in groups of two slices, and a model with more classes
-    # than one pairwise block, score every slice as the single call does
+    # than one pairwise block, score every slice as the single call does:
+    # at a (U, D) stack, at one vector, and at one vector for one batch
     u, n = 5, 40
     ws = rng.standard_normal((u, param_count(spec)))
     batch = Batch(rng.standard_normal((u, n, spec.input_dim)),
@@ -381,6 +399,10 @@ def test_scoring_groups_and_wide_outputs_keep_every_bit(spec, monkeypatch, rng):
     singles = [loss_and_gradient(spec, ws[k], Batch(batch.features[k], batch.labels[k]))[0]
                for k in range(u)]
     assert whole.tobytes() == grouped.tobytes() == np.array(singles).tobytes()
+    assert [loss(spec, ws[k], Batch(batch.features[k], batch.labels[k])) for k in range(u)] == singles
+    common = loss_and_gradient(spec, ws[0], batch)[0]
+    assert loss(spec, ws[0], batch).tobytes() == common.tobytes()
+    assert loss(spec, ws[0], batch, work=work).tobytes() == common.tobytes()
 
 
 class TestBatch:
