@@ -20,6 +20,16 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
+# Synthetic blobs are drawn through a scratch buffer of this many bytes, a
+# chunk of draws that stays in a core's L2 cache until its kept rows are copied.
+_SCRATCH_BYTES = 1 << 20
+
+
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    if len(labels) and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError("labels must lie in [0, num_classes)")
+
+
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray
@@ -29,8 +39,7 @@ class Dataset:
     def __post_init__(self):
         if self.features.ndim != 2 or len(self.features) != len(self.labels):
             raise ValueError("features must be (N, d) with one label per row")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise ValueError("labels must lie in [0, num_classes)")
+        _check_labels(self.labels, self.num_classes)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -44,11 +53,27 @@ class Dataset:
 
 
 @dataclass(frozen=True)
+class LabelSet:
+    """A dataset's labels alone, one per row: the partition and the shared
+    and test sets are drawn from these before any feature row is built."""
+
+    labels: np.ndarray
+    num_classes: int
+
+    def __post_init__(self):
+        _check_labels(self.labels, self.num_classes)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+@dataclass(frozen=True)
 class Rows:
     """Rows `index` of `base`, gathered on read: rows[idx] is base[index[idx]].
 
-    A worker's training pool is a Rows view of the seed's training set, so no
-    worker holds a copy of its partition or of the shared training rows.
+    A worker's training pool is a Rows view of the seed's stored training
+    rows, so no worker holds a copy of its partition or of the shared
+    training rows.
     """
 
     base: np.ndarray
@@ -70,14 +95,13 @@ class PartitionPlan:
     parent_size: int
 
     def __post_init__(self):
-        seen: set[int] = set()
+        seen = np.zeros(self.parent_size, dtype=bool)
         for idx in self.worker_indices:
             if len(idx) and (idx.min() < 0 or idx.max() >= self.parent_size):
                 raise ValueError("partition index out of range")
-            as_set = set(int(i) for i in idx)
-            if seen & as_set:
+            if seen[idx].any():
                 raise ValueError("worker partitions overlap")
-            seen |= as_set
+            seen[idx] = True
 
     @property
     def num_workers(self) -> int:
@@ -88,15 +112,47 @@ class PartitionPlan:
 
 
 @dataclass(frozen=True)
+class KeptRows(LabelSet):
+    """A training set addressed by original row number: every row's label,
+    and the float64 features of only the rows some consumer reads.
+
+    ``store`` holds the kept rows in original row order; ``position`` maps
+    each original row to its store row, and every row that was not kept to
+    ``len(store)``, one past the end, so reading it raises IndexError and
+    never returns a neighbouring row.
+    """
+
+    store: Dataset
+    position: np.ndarray
+
+    @classmethod
+    def of(cls, full: LabelSet, kept: np.ndarray, store: Dataset) -> "KeptRows":
+        """``store`` holds the rows ``kept`` (ascending) of ``full``."""
+        position = np.full(len(full), len(kept), dtype=np.intp)
+        position[kept] = np.arange(len(kept))
+        return cls(full.labels, full.num_classes, store, position)
+
+    def subset(self, indices) -> Dataset:
+        at = self.position[indices]
+        return Dataset(self.store.features[at], self.store.labels[at], self.num_classes)
+
+    def rows(self, indices) -> tuple[Rows, Rows]:
+        """Features and labels of original rows ``indices`` as Rows views of
+        the store, sharing one index."""
+        at = self.position[indices]
+        return Rows(self.store.features, at), Rows(self.store.labels, at)
+
+
+@dataclass(frozen=True)
 class GlobalShared:
     """Held-out data shared by everyone: a training part and a scoring part.
 
-    The scoring part is a copy, scored every round. The training part is
+    The scoring part is held once, scored every round. The training part is
     rows ``train_indices`` of ``source``, gathered when ``train`` is read:
     the worker pools index ``source`` directly.
     """
 
-    source: Dataset
+    source: KeptRows
     score: Dataset
     train_indices: np.ndarray
     score_indices: np.ndarray
@@ -131,37 +187,84 @@ def _read_idx(path: str, expected_magic: int, ndim: int, what: str):
     return dims, np.frombuffer(payload, dtype=np.uint8)
 
 
-def load_idx(images_path: str, labels_path: str, num_classes: int = 10) -> Dataset:
-    """Load an IDX image/label file pair into a flat, [0, 1]-scaled dataset."""
-    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, 3, "images")
-    (label_count,), raw_labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1, "labels")
-    if count != label_count:
-        raise ValueError(f"image count {count} != label count {label_count}")
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-    return Dataset(features, raw_labels.astype(np.int64), num_classes)
+def _kept(rows, count: int) -> np.ndarray:
+    """The row numbers to keep: ``rows``, or every row when None."""
+    if rows is None:
+        return np.arange(count)
+    rows = np.asarray(rows, dtype=np.intp)
+    if len(rows) and (rows.min() < 0 or rows.max() >= count):
+        raise ValueError(f"row to keep out of range for {count} rows")
+    return rows
 
 
-def synthetic_blobs(num_classes: int, per_class: int, dim: int, separation: float, seed) -> Dataset:
+def read_idx_labels(path: str) -> np.ndarray:
+    """The labels of an IDX label file."""
+    _, raw_labels = _read_idx(path, IDX_LABEL_MAGIC, 1, "labels")
+    return raw_labels.astype(np.int64)
+
+
+def load_idx(images_path: str, labels_path: str, num_classes: int = 10, rows=None) -> Dataset:
+    """Rows ``rows`` (every row when None), in that order, of an IDX
+    image/label file pair as a flat, [0, 1]-scaled dataset. Only those rows
+    of the uint8 payload are converted."""
+    (count, height, width), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, 3, "images")
+    labels = read_idx_labels(labels_path)
+    if count != len(labels):
+        raise ValueError(f"image count {count} != label count {len(labels)}")
+    rows = _kept(rows, count)
+    kept = pixels.reshape(count, height * width)[rows]
+    features = np.divide(kept, 255.0, out=np.empty(kept.shape))
+    return Dataset(features, labels[rows], num_classes)
+
+
+def blob_labels(num_classes: int, per_class: int) -> np.ndarray:
+    """The labels of ``synthetic_blobs``: class blocks of per_class rows."""
+    return np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+
+
+def synthetic_blobs(
+    num_classes: int, per_class: int, dim: int, separation: float, seed, rows=None
+) -> Dataset:
     """Unit-variance Gaussian blobs, one mean per class, pairwise >= separation apart.
 
     Means sit on scaled axis directions, so the pairwise-distance guarantee is
-    exact by construction. Samples are emitted in class blocks.
+    exact by construction. Samples are emitted in class blocks. Only rows
+    ``rows`` (every row when None) are kept, in that order; every block is
+    still drawn, chunk by chunk through one cache-sized scratch buffer, so
+    the generator's stream and each kept value are those of the full set.
+    Each ascending run of ``rows`` is filled chunk by chunk, so rows given
+    as a few sorted runs cost least.
     """
     if num_classes < 1 or per_class < 1 or dim < 1:
         raise ValueError("num_classes, per_class and dim must be positive")
     rng = _as_rng(seed)
-    features = np.empty((num_classes * per_class, dim))
-    for c, block in enumerate(features.reshape(num_classes, per_class, dim)):
+    labels = blob_labels(num_classes, per_class)
+    rows = _kept(rows, len(labels))
+    # each ascending run of rows fills one stretch of the output, in order
+    cuts = np.flatnonzero(np.diff(rows) <= 0) + 1
+    runs = list(zip((0, *cuts), np.split(rows, cuts)))
+    features = np.empty((len(rows), dim))
+    chunk = min(per_class, max(1, _SCRATCH_BYTES // (8 * dim)))
+    scratch = np.empty((chunk, dim))
+    for c in range(num_classes):
         mean = np.zeros(dim)
         mean[c % dim] = separation * (1 + c // dim)
-        # drawn in place: the same draws, and the same sums as mean + draws
-        rng.standard_normal(out=block)
-        block += mean
-    labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-    return Dataset(features, labels, num_classes)
+        for lo in range(c * per_class, (c + 1) * per_class, chunk):
+            draws = scratch[: min(chunk, (c + 1) * per_class - lo)]
+            # chunked draws are the same draws as one draw of the block
+            rng.standard_normal(out=draws)
+            draws += mean  # the same sums as mean + draws
+            for start, run in runs:
+                first, stop = np.searchsorted(run, (lo, lo + len(draws)))
+                if first < stop:
+                    # positions lie in the chunk by construction; "raise"
+                    # would take through a temporary copy of the output
+                    np.take(draws, run[first:stop] - lo, axis=0,
+                            out=features[start + first : start + stop], mode="clip")
+    return Dataset(features, labels[rows], num_classes)
 
 
-def partition_iid(ds: Dataset, num_workers: int, per_worker: int, seed) -> PartitionPlan:
+def partition_iid(ds: Dataset | LabelSet, num_workers: int, per_worker: int, seed) -> PartitionPlan:
     """num_workers disjoint lists of exactly per_worker random indices."""
     if num_workers * per_worker > len(ds):
         raise ValueError(
@@ -176,7 +279,7 @@ def partition_iid(ds: Dataset, num_workers: int, per_worker: int, seed) -> Parti
 
 
 def partition_shards(
-    ds: Dataset, num_shards: int, shards_per_worker: int, num_workers: int, seed
+    ds: Dataset | LabelSet, num_shards: int, shards_per_worker: int, num_workers: int, seed
 ) -> PartitionPlan:
     """Label-sorted contiguous shards, assigned randomly without replacement.
 
@@ -202,9 +305,10 @@ def partition_shards(
 
 
 def stratified_sample(
-    ds: Dataset, count: int, excluded: set[int], rng: np.random.Generator
+    ds: Dataset | LabelSet, count: int, excluded: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Class-stratified draw of `count` indices avoiding `excluded`.
+    """Class-stratified draw of `count` indices into `ds` avoiding the
+    indices `excluded`.
 
     Each class contributes count // C samples; the remainder goes one each to
     the lowest class indices.
@@ -212,13 +316,12 @@ def stratified_sample(
     if count == 0:
         return np.array([], dtype=np.int64)
     base, extra = divmod(count, ds.num_classes)
-    blocked = np.array(sorted(excluded), dtype=np.int64)
+    free = np.ones(len(ds), dtype=bool)
+    free[excluded] = False
     picked = []
     for c in range(ds.num_classes):
         quota = base + (1 if c < extra else 0)
-        available = np.flatnonzero(ds.labels == c)
-        if len(blocked):
-            available = available[~np.isin(available, blocked)]
+        available = np.flatnonzero((ds.labels == c) & free)
         if quota > len(available):
             raise ValueError(
                 f"insufficient held-out samples for class {c}: need {quota}, have {len(available)}"
@@ -228,15 +331,16 @@ def stratified_sample(
 
 
 def build_global_shared(
-    ds: Dataset, n_train: int, n_score: int, plan: PartitionPlan, seed
-) -> GlobalShared:
-    """Stratified held-out shared sets, disjoint from the plan and each other."""
+    ds: Dataset | LabelSet, n_train: int, n_score: int, plan: PartitionPlan, seed
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified held-out shared sets, disjoint from the plan and each
+    other: the indices into `ds` of the training part and of the scoring
+    part."""
     rng = _as_rng(seed)
-    taken = set(int(i) for i in plan.all_indices())
+    taken = plan.all_indices()
     train_idx = stratified_sample(ds, n_train, taken, rng)
-    taken |= set(int(i) for i in train_idx)
-    score_idx = stratified_sample(ds, n_score, taken, rng)
-    return GlobalShared(ds, ds.subset(score_idx), train_idx, score_idx)
+    score_idx = stratified_sample(ds, n_score, np.concatenate([taken, train_idx]), rng)
+    return train_idx, score_idx
 
 
 def label_histogram(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -102,7 +102,7 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class ExperimentSetup:
-    train: datamod.Dataset
+    train: datamod.KeptRows
     test: Batch
     plan: datamod.PartitionPlan
     shared: datamod.GlobalShared | None
@@ -136,51 +136,70 @@ def build_setup(
     """Build the per-seed world every variant shares."""
     ModelConfig(spec_kind, tuple(hidden_dims), init_mode)
 
+    # Labels first: the partition, the shared sets and a carved test split
+    # are drawn from them, then only the rows some consumer reads are built.
     if cfg.source == "synthetic":
-        train = datamod.synthetic_blobs(
-            cfg.classes, cfg.per_class, cfg.dim, cfg.separation,
-            derived_rng(seed, DOMAIN_ORCHESTRATOR, 0),
-        )
+        labels = datamod.blob_labels(cfg.classes, cfg.per_class)
     else:
-        train = datamod.load_idx(cfg.idx_images, cfg.idx_labels, cfg.classes)
+        labels = datamod.read_idx_labels(cfg.idx_labels)
+    world = datamod.LabelSet(labels, cfg.classes)
 
     if cfg.partition == "iid":
         plan = datamod.partition_iid(
-            train, h.num_workers, cfg.per_worker, derived_rng(seed, DOMAIN_ORCHESTRATOR, 1)
+            world, h.num_workers, cfg.per_worker, derived_rng(seed, DOMAIN_ORCHESTRATOR, 1)
         )
     else:
         plan = datamod.partition_shards(
-            train, cfg.num_shards, cfg.shards_per_worker, h.num_workers,
+            world, cfg.num_shards, cfg.shards_per_worker, h.num_workers,
             derived_rng(seed, DOMAIN_ORCHESTRATOR, 1),
         )
 
-    shared = None
+    train_idx = score_idx = test_idx = np.array([], dtype=np.int64)
     if cfg.global_train or cfg.global_score:
-        shared = datamod.build_global_shared(
-            train, cfg.global_train, cfg.global_score, plan,
+        train_idx, score_idx = datamod.build_global_shared(
+            world, cfg.global_train, cfg.global_score, plan,
             derived_rng(seed, DOMAIN_ORCHESTRATOR, 2),
         )
+    carve_test = cfg.source == "idx" and cfg.idx_test_images is None
+    if carve_test:
+        test_idx = datamod.stratified_sample(
+            world, cfg.test_per_class * cfg.classes,
+            np.concatenate([plan.all_indices(), train_idx, score_idx]),
+            derived_rng(seed, DOMAIN_ORCHESTRATOR, 3),
+        )
+
+    # one buffer: the stored worker and shared-train rows in original row
+    # order, then the scoring rows, then a carved test split
+    stored = np.sort(np.concatenate([plan.all_indices(), train_idx]))
+    rows = np.concatenate([stored, score_idx, test_idx])
+    if cfg.source == "synthetic":
+        kept = datamod.synthetic_blobs(
+            cfg.classes, cfg.per_class, cfg.dim, cfg.separation,
+            derived_rng(seed, DOMAIN_ORCHESTRATOR, 0), rows=rows,
+        )
+    else:
+        kept = datamod.load_idx(cfg.idx_images, cfg.idx_labels, cfg.classes, rows=rows)
+    bounds = (0, len(stored), len(stored) + len(score_idx), len(rows))
+    store, score, carved = (
+        datamod.Dataset(kept.features[lo:hi], kept.labels[lo:hi], cfg.classes)
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+    train = datamod.KeptRows.of(world, stored, store)
+    shared = None
+    if cfg.global_train or cfg.global_score:
+        shared = datamod.GlobalShared(train, score, train_idx, score_idx)
 
     if cfg.source == "synthetic":
         test_ds = datamod.synthetic_blobs(
             cfg.classes, cfg.test_per_class, cfg.dim, cfg.separation,
             derived_rng(seed, DOMAIN_ORCHESTRATOR, 3),
         )
-        test = test_ds.as_batch()
-    elif cfg.idx_test_images is not None:
-        test = datamod.load_idx(cfg.idx_test_images, cfg.idx_test_labels, cfg.classes).as_batch()
+    elif carve_test:
+        test_ds = carved
     else:
-        taken = set(int(i) for i in plan.all_indices())
-        if shared is not None:
-            taken |= set(int(i) for i in shared.train_indices)
-            taken |= set(int(i) for i in shared.score_indices)
-        test_idx = datamod.stratified_sample(
-            train, cfg.test_per_class * cfg.classes, taken,
-            derived_rng(seed, DOMAIN_ORCHESTRATOR, 3),
-        )
-        test = train.subset(test_idx).as_batch()
+        test_ds = datamod.load_idx(cfg.idx_test_images, cfg.idx_test_labels, cfg.classes)
 
-    spec = ModelSpec(spec_kind, train.features.shape[1], cfg.classes, tuple(hidden_dims))
+    spec = ModelSpec(spec_kind, store.features.shape[1], cfg.classes, tuple(hidden_dims))
     if init_mode == "shared":
         init_w = init_params(spec, derived_rng(seed, DOMAIN_INIT, 0))
     else:
@@ -190,7 +209,7 @@ def build_setup(
 
     return ExperimentSetup(
         train=train,
-        test=test,
+        test=test_ds.as_batch(),
         plan=plan,
         shared=shared,
         spec=spec,
@@ -211,13 +230,14 @@ def initial_w_for(setup: ExperimentSetup, worker_id: int) -> np.ndarray:
 def worker_pool(setup: ExperimentSetup, worker_id: int, with_global_train: bool):
     """A worker's training pool: its partition, optionally + the shared train set.
 
-    Both are rows of ``setup.train`` (the shared sets are drawn from it), so
-    the pool is a pair of Rows views over one index array, not a copy.
+    Both are rows of ``setup.train``'s store (the shared sets are drawn from
+    the training set), so the pool is a pair of Rows views over one index
+    array, not a copy.
     """
     rows = setup.plan.worker_indices[worker_id]
     if with_global_train and setup.shared is not None and len(setup.shared.train_indices):
         rows = np.concatenate([rows, setup.shared.train_indices])
-    return datamod.Rows(setup.train.features, rows), datamod.Rows(setup.train.labels, rows)
+    return setup.train.rows(rows)
 
 
 def make_workers(
@@ -244,8 +264,7 @@ def make_workers(
     for i, (features, labels) in enumerate(pools):
         if score_mode == "local":
             # scored here once for f_p; the crew stacks its own copy for the rounds
-            local_idx = setup.plan.worker_indices[i]
-            score_set = Batch(setup.train.features[local_idx], setup.train.labels[local_idx])
+            score_set = setup.train.subset(setup.plan.worker_indices[i]).as_batch()
         w0 = (setup.init_w if setup.init_mode == "shared" else setup.init_w[i]).view()
         w0.flags.writeable = False
         if score_set is None:
@@ -272,5 +291,4 @@ def make_workers(
 
 def population_batch(setup: ExperimentSetup) -> Batch:
     """Union of all worker partitions: the empirical population."""
-    idx = np.sort(setup.plan.all_indices())
-    return Batch(setup.train.features[idx], setup.train.labels[idx])
+    return setup.train.subset(np.sort(setup.plan.all_indices())).as_batch()

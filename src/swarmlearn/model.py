@@ -194,8 +194,8 @@ def _score_slices(spec: ModelSpec, w: np.ndarray, features: np.ndarray, labels: 
 
     The logits come from one BLAS call per slice, as in ``_forward``; the
     rest runs class-major on (g, C, N): the bias, the max over classes, the
-    shifted exponentials, their class sums and the true-class picks each
-    take one pass over contiguous rows of N samples."""
+    true-class picks, the shifted exponentials (in place) and their class
+    sums each take one pass over contiguous rows of N samples."""
     g, n = labels.shape
     layers = _unpack(spec, w, w.shape[:-1])
     a = features
@@ -211,16 +211,17 @@ def _score_slices(spec: ModelSpec, w: np.ndarray, features: np.ndarray, labels: 
     zc = buffer("class_major", (g, classes, n))
     np.copyto(zc, z.swapaxes(-1, -2))
     zc += bias[..., :, None]
-    m = zc.max(axis=-2)
-    e = buffer("exp", (g, classes, n))
-    np.subtract(zc, m[..., None, :], out=e)
-    np.exp(e, out=e)
-    # the true-class logits, at flat offsets (u * C + label) * N + row
+    m = np.max(zc, axis=-2, out=buffer("row_max", (g, n)))
+    # the true-class logits, at flat offsets (u * C + label) * N + row,
+    # picked before the exponentials overwrite them
     at = (np.arange(g)[:, None] * classes + labels) * n
     at += np.arange(n)
-    per_row = np.log(_class_sum(e))
+    true = zc.reshape(-1)[at]
+    zc -= m[..., None, :]
+    np.exp(zc, out=zc)
+    per_row = np.log(_class_sum(zc))
     np.add(m, per_row, out=per_row)
-    per_row -= zc.reshape(-1)[at]
+    per_row -= true
     return per_row.sum(axis=-1) / n
 
 

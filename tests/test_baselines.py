@@ -231,9 +231,9 @@ class TestRunVariant:
         setup, h = small_setup(seed=6)
         workers = make_workers(setup, h, with_global_train, "shared")
         for i, worker in enumerate(workers):
-            rows = setup.plan.worker_indices[i]
-            features = [setup.train.features[rows]]
-            labels = [setup.train.labels[rows]]
+            own = setup.train.subset(setup.plan.worker_indices[i])
+            features = [own.features]
+            labels = [own.labels]
             if with_global_train:
                 features.append(setup.shared.train.features)
                 labels.append(setup.shared.train.labels)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmlearn import data
 from swarmlearn.data import (
     Dataset,
+    LabelSet,
+    PartitionPlan,
     build_global_shared,
     draw_batch_indices,
     emd,
@@ -33,6 +36,17 @@ def write_idx_labels(path, labels):
         f.write(bytes(labels))
 
 
+def plain_blobs(classes, per_class, dim, separation, rng):
+    """The synthetic blobs by their formula: each class block is its mean
+    plus a fresh (per_class, dim) standard normal draw."""
+    features = np.empty((classes * per_class, dim))
+    for c in range(classes):
+        mean = np.zeros(dim)
+        mean[c % dim] = separation * (1 + c // dim)
+        features[c * per_class : (c + 1) * per_class] = mean + rng.standard_normal((per_class, dim))
+    return Dataset(features, np.repeat(np.arange(classes), per_class), classes)
+
+
 class TestLoadIdx:
     def test_hand_built_pair(self, tmp_path):
         images = np.array([[[0, 128], [255, 0]]], dtype=np.uint8)
@@ -44,6 +58,20 @@ class TestLoadIdx:
         assert len(ds) == 1
         assert np.array_equal(ds.features[0], [0.0, 128 / 255, 1.0, 0.0])
         assert ds.labels[0] == 7
+
+    def test_kept_rows_convert_only_those_rows(self, tmp_path):
+        images = np.random.default_rng(0).integers(0, 256, size=(6, 2, 3), dtype=np.uint8)
+        labels = [0, 1, 2, 3, 4, 5]
+        write_idx_images(tmp_path / "img.idx", images)
+        write_idx_labels(tmp_path / "lbl.idx", labels)
+        full = load_idx(str(tmp_path / "img.idx"), str(tmp_path / "lbl.idx"))
+        assert full.features.tobytes() == (images.reshape(6, 6).astype(np.float64) / 255.0).tobytes()
+        rows = [4, 0, 4, 5]
+        kept = load_idx(str(tmp_path / "img.idx"), str(tmp_path / "lbl.idx"), rows=rows)
+        assert kept.features.tobytes() == full.features[rows].tobytes()
+        assert kept.labels.tolist() == [4, 0, 4, 5]
+        with pytest.raises(ValueError, match="out of range"):
+            load_idx(str(tmp_path / "img.idx"), str(tmp_path / "lbl.idx"), rows=[6])
 
     def test_image_magic_in_label_slot(self, tmp_path):
         img_path = tmp_path / "img.idx"
@@ -92,20 +120,32 @@ class TestSyntheticBlobs:
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 5, 3), (10, 90, 20), (12, 7, 4), (3, 40, 784)])
     @pytest.mark.parametrize("separation", [0.0, 2.6, 1e3])
-    def test_bytes_equal_the_mean_plus_draws_formula(self, shape, separation):
-        # the blocks are drawn in place and shifted; the plain formula draws
-        # each block fresh and adds it to the class mean
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 3])
+    def test_bytes_equal_the_mean_plus_draws_formula(self, shape, separation, chunk_rows, monkeypatch):
+        # every block is drawn chunk by chunk through a scratch buffer and
+        # shifted; the plain formula draws each block fresh and adds it to
+        # the class mean. A kept subset, in any order and with repeats, reads
+        # those rows, and the generator ends in the same state either way.
         classes, per_class, dim = shape
+        if chunk_rows is not None:
+            monkeypatch.setattr(data, "_SCRATCH_BYTES", 8 * dim * chunk_rows)
         rng = np.random.default_rng(17)
-        want = np.empty((classes * per_class, dim))
-        for c in range(classes):
-            mean = np.zeros(dim)
-            mean[c % dim] = separation * (1 + c // dim)
-            want[c * per_class : (c + 1) * per_class] = mean + rng.standard_normal((per_class, dim))
+        want = plain_blobs(classes, per_class, dim, separation, rng)
         ds = synthetic_blobs(classes, per_class, dim, separation, seed=17)
-        assert ds.features.tobytes() == want.tobytes()
+        assert ds.features.tobytes() == want.features.tobytes()
         assert ds.labels.dtype == np.int64
         assert ds.labels.tobytes() == np.repeat(np.arange(classes), per_class).astype(np.int64).tobytes()
+        rows = np.random.default_rng(1).integers(0, len(want), size=len(want) // 2 + 1)
+        gen = np.random.default_rng(17)
+        kept = synthetic_blobs(classes, per_class, dim, separation, seed=gen, rows=rows)
+        assert kept.features.tobytes() == want.features[rows].tobytes()
+        assert kept.labels.tobytes() == want.labels[rows].tobytes()
+        assert gen.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("rows", [[-1], [10], [0, 10]])
+    def test_a_row_past_the_set_is_refused(self, rows):
+        with pytest.raises(ValueError, match="out of range"):
+            synthetic_blobs(2, 5, 3, 4.0, seed=0, rows=rows)
 
     def test_means_respect_separation(self):
         ds = synthetic_blobs(10, 200, 4, 6.0, seed=3)
@@ -191,42 +231,55 @@ class TestPartitionShards:
             partition_shards(ds, 101, 1, 1, seed=0)
 
 
+class TestPartitionPlan:
+    def test_a_row_two_workers_hold_is_refused(self):
+        with pytest.raises(ValueError, match="overlap"):
+            PartitionPlan((np.array([0, 1]), np.array([2, 1])), "iid", 4)
+
+    def test_a_row_one_worker_lists_twice_is_no_overlap(self):
+        plan = PartitionPlan((np.array([0, 0, 1]), np.array([2])), "iid", 4)
+        assert plan.num_workers == 2
+
+    @pytest.mark.parametrize("row", [-1, 4])
+    def test_a_row_outside_the_parent_is_refused(self, row):
+        with pytest.raises(ValueError, match="out of range"):
+            PartitionPlan((np.array([0]), np.array([row])), "iid", 4)
+
+
 class TestGlobalShared:
     @pytest.fixture
     def balanced(self):
-        labels = np.repeat(np.arange(10), 3000)
-        return Dataset(np.zeros((30000, 1)), labels, 10)
+        return LabelSet(np.repeat(np.arange(10), 3000), 10)
 
     def test_stratified_counts(self, balanced):
         plan = partition_iid(balanced, 10, 300, seed=0)
-        shared = build_global_shared(balanced, 600, 2000, plan, seed=1)
-        assert np.bincount(shared.train.labels, minlength=10).tolist() == [60] * 10
-        assert np.bincount(shared.score.labels, minlength=10).tolist() == [200] * 10
+        train_idx, score_idx = build_global_shared(balanced, 600, 2000, plan, seed=1)
+        assert np.bincount(balanced.labels[train_idx], minlength=10).tolist() == [60] * 10
+        assert np.bincount(balanced.labels[score_idx], minlength=10).tolist() == [200] * 10
 
     def test_remainder_goes_to_low_classes(self, balanced):
         plan = partition_iid(balanced, 2, 10, seed=0)
-        shared = build_global_shared(balanced, 12, 0, plan, seed=1)
-        assert np.bincount(shared.train.labels, minlength=10).tolist() == [2, 2] + [1] * 8
+        train_idx, _ = build_global_shared(balanced, 12, 0, plan, seed=1)
+        assert np.bincount(balanced.labels[train_idx], minlength=10).tolist() == [2, 2] + [1] * 8
 
     def test_empty_train_part(self, balanced):
         plan = partition_iid(balanced, 2, 10, seed=0)
-        shared = build_global_shared(balanced, 0, 100, plan, seed=1)
-        assert len(shared.train) == 0
-        assert len(shared.score) == 100
+        train_idx, score_idx = build_global_shared(balanced, 0, 100, plan, seed=1)
+        assert len(train_idx) == 0
+        assert len(score_idx) == 100
 
     def test_disjoint_from_plan_and_each_other(self, balanced):
         plan = partition_iid(balanced, 50, 300, seed=3)
-        shared = build_global_shared(balanced, 600, 2000, plan, seed=4)
+        train_idx, score_idx = build_global_shared(balanced, 600, 2000, plan, seed=4)
         plan_set = set(plan.all_indices().tolist())
-        train_set = set(shared.train_indices.tolist())
-        score_set = set(shared.score_indices.tolist())
+        train_set = set(train_idx.tolist())
+        score_set = set(score_idx.tolist())
         assert not plan_set & train_set
         assert not plan_set & score_set
         assert not train_set & score_set
 
     def test_insufficient_holdout(self):
-        labels = np.repeat(np.arange(2), 10)
-        ds = Dataset(np.zeros((20, 1)), labels, 2)
+        ds = LabelSet(np.repeat(np.arange(2), 10), 2)
         plan = partition_iid(ds, 2, 9, seed=0)
         with pytest.raises(ValueError, match="insufficient held-out"):
             build_global_shared(ds, 4, 0, plan, seed=0)

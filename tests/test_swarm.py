@@ -362,7 +362,7 @@ class TestCrew:
         # pools of one training set and one scoring length; hand-built
         # workers that do not are refused, not run down a slower path
         setup, h, workers, _ = swarm_world(seed=9)
-        features, labels = setup.train.features, setup.train.labels
+        features, labels = setup.train.store.features, setup.train.store.labels
         if case == "unequal_pools":
             workers = hand_workers(9, features, labels, [np.arange(6), np.arange(6, 13)])
         elif case == "array_pool":
