@@ -15,7 +15,7 @@ import numpy as np
 from .attacks import AttackSpec
 from .core import HyperParameters, inertia_schedule, require_finite
 from .data import emd
-from .model import Batch, ModelSpec, gradient, param_count
+from .model import Batch, ModelSpec, gradient, param_count, row_dots, row_norms
 from .swarm import Population, ProtocolWiring, PsState, StepInfos, run_round
 
 # Columns of the tables built here. A round's row carries COSINE_COLUMNS with
@@ -34,25 +34,6 @@ DIAGNOSTICS_COLUMNS = (
     "q_g_min", "q_g_max", "u_min", "u_max", "u_p_min", "u_p_max",
     "u_g_min", "u_g_max", "zero_velocity_samples", "zero_grad_samples",
 )
-
-
-def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[u] @ b[u]`` for every row u of two (U, D) arrays, bit for bit.
-
-    One stacked matmul of (1, D) @ (D, 1) slices runs the same dot product
-    per row as ``@`` on the rows alone; ``(a * b).sum(axis=1)`` and
-    ``np.einsum`` sum in other orders. That holds for C-ordered rows only (a
-    column-major array gives other last bits), so any other layout is a
-    ValueError.
-    """
-    if not (a.flags.c_contiguous and b.flags.c_contiguous):
-        raise ValueError("row_dots needs C-contiguous (U, D) arrays")
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def row_norms(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of every row of a (U, D) array, bit for bit."""
-    return np.sqrt(row_dots(a, a))
 
 
 def _cosines(v: np.ndarray, neg_grad: np.ndarray, gnorm: np.ndarray):
@@ -291,17 +272,11 @@ def f_max_at(spec: ModelSpec, w: np.ndarray, per_class: list[Batch | None]) -> f
 
 @dataclass(frozen=True)
 class LipschitzEstimate:
-    """Max observed gradient-difference ratios, inflated by a 1.5 safety factor.
-
-    ``l_global``/``l_classes`` carry the inflated values used in bounds;
-    ``raw_global``/``raw_classes`` keep the uninflated maxima.
-    """
+    """Max observed gradient-difference ratios, global and per class,
+    inflated by a 1.5 safety factor: the values used in bounds."""
 
     l_global: float
     l_classes: np.ndarray
-    raw_global: float
-    raw_classes: np.ndarray
-    samples: int
 
 SAFETY_FACTOR = 1.5
 # Fewest probe pairs the Lipschitz estimator accepts; DiagnosticsFlags checks it too.
@@ -368,15 +343,8 @@ def estimate_model_lipschitz(
             gradient(spec, w, batch) if batch is not None else absent for batch in per_class
         ])
 
-    raw, used = estimate_gradient_lipschitz(grads, dim, probes, rng, envelope, spread)
-    raw_classes = np.array(raw[1:])
-    return LipschitzEstimate(
-        l_global=SAFETY_FACTOR * raw[0],
-        l_classes=SAFETY_FACTOR * raw_classes,
-        raw_global=raw[0],
-        raw_classes=raw_classes,
-        samples=used,
-    )
+    raw, _ = estimate_gradient_lipschitz(grads, dim, probes, rng, envelope, spread)
+    return LipschitzEstimate(SAFETY_FACTOR * raw[0], SAFETY_FACTOR * np.array(raw[1:]))
 
 
 @dataclass(frozen=True)

@@ -214,8 +214,8 @@ def _check_seeds(seeds: tuple[int, ...], source: str) -> None:
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

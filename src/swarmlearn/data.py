@@ -44,10 +44,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices)
-        return Dataset(self.features[idx], self.labels[idx], self.num_classes)
-
     def as_batch(self) -> Batch:
         return Batch(self.features, self.labels)
 
@@ -103,10 +99,6 @@ class PartitionPlan:
                 raise ValueError("worker partitions overlap")
             seen[idx] = True
 
-    @property
-    def num_workers(self) -> int:
-        return len(self.worker_indices)
-
     def all_indices(self) -> np.ndarray:
         return np.concatenate(self.worker_indices) if self.worker_indices else np.array([], dtype=np.int64)
 
@@ -148,18 +140,12 @@ class GlobalShared:
     """Held-out data shared by everyone: a training part and a scoring part.
 
     The scoring part is held once, scored every round. The training part is
-    rows ``train_indices`` of ``source``, gathered when ``train`` is read:
-    the worker pools index ``source`` directly.
+    the rows ``train_indices`` of the seed's training set, which the worker
+    pools index directly.
     """
 
-    source: KeptRows
     score: Dataset
     train_indices: np.ndarray
-    score_indices: np.ndarray
-
-    @property
-    def train(self) -> Dataset:
-        return self.source.subset(self.train_indices)
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -313,6 +299,8 @@ def stratified_sample(
     Each class contributes count // C samples; the remainder goes one each to
     the lowest class indices.
     """
+    if count < 0:
+        raise ValueError(f"cannot draw a negative count ({count}) of samples")
     if count == 0:
         return np.array([], dtype=np.int64)
     base, extra = divmod(count, ds.num_classes)

@@ -60,7 +60,10 @@ class DataConfig:
             raise ValueError(f"synthetic source reads no IDX files; remove {', '.join(paths)}")
         if (self.idx_test_images is None) != (self.idx_test_labels is None):
             raise ValueError("idx_test_images and idx_test_labels go together: set both or neither")
-        for key in ("per_worker", "num_shards", "shards_per_worker"):
+        if self.classes < 2:
+            raise ValueError("classes must be >= 2")
+        for key in ("per_class", "dim", "test_per_class", "per_worker", "num_shards",
+                    "shards_per_worker"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
         if self.global_train < 0 or self.global_score < 0:
@@ -187,7 +190,7 @@ def build_setup(
     train = datamod.KeptRows.of(world, stored, store)
     shared = None
     if cfg.global_train or cfg.global_score:
-        shared = datamod.GlobalShared(train, score, train_idx, score_idx)
+        shared = datamod.GlobalShared(score, train_idx)
 
     if cfg.source == "synthetic":
         test_ds = datamod.synthetic_blobs(
@@ -235,7 +238,7 @@ def worker_pool(setup: ExperimentSetup, worker_id: int, with_global_train: bool)
     array, not a copy.
     """
     rows = setup.plan.worker_indices[worker_id]
-    if with_global_train and setup.shared is not None and len(setup.shared.train_indices):
+    if with_global_train:
         rows = np.concatenate([rows, setup.shared.train_indices])
     return setup.train.rows(rows)
 
@@ -253,6 +256,8 @@ def make_workers(
     no model of their own and carry none."""
     if score_mode == "shared" and (setup.shared is None or not len(setup.shared.score)):
         raise ValueError("missing global scoring dataset (global_score)")
+    if with_global_train and (setup.shared is None or not len(setup.shared.train_indices)):
+        raise ValueError("missing global training dataset (global_train)")
     # one scoring Batch for every worker; None when score_mode is "none"
     score_set = setup.shared.score.as_batch() if score_mode == "shared" else None
     pools = [worker_pool(setup, i, with_global_train) for i in range(h.num_workers)]

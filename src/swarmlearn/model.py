@@ -316,3 +316,22 @@ def accuracy(spec: ModelSpec, w: np.ndarray, data) -> float:
         raise ValueError("accuracy needs a nonempty dataset")
     z = _forward(_unpack(spec, w), data.features)[0]
     return float(np.count_nonzero(z.argmax(axis=-1) == data.labels) / n)
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[u] @ b[u]`` for every row u of two (U, D) arrays, bit for bit.
+
+    One stacked matmul of (1, D) @ (D, 1) slices runs the same dot product
+    per row as ``@`` on the rows alone; ``(a * b).sum(axis=1)`` and
+    ``np.einsum`` sum in other orders. That holds for C-ordered rows only (a
+    column-major array gives other last bits), so any other layout is a
+    ValueError.
+    """
+    if not (a.flags.c_contiguous and b.flags.c_contiguous):
+        raise ValueError("row_dots needs C-contiguous (U, D) arrays")
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every row of a (U, D) array, bit for bit."""
+    return np.sqrt(row_dots(a, a))

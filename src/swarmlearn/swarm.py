@@ -26,7 +26,6 @@ import numpy as np
 
 from . import attacks
 from .core import (
-    DrawTable,
     HyperParameters,
     NonFiniteError,
     RngStream,
@@ -37,7 +36,7 @@ from .core import (
     worker_stream,
 )
 from .data import Rows
-from .model import Batch, ModelSpec, Workspace, loss, loss_and_gradient
+from .model import Batch, ModelSpec, Workspace, loss, loss_and_gradient, row_dots
 
 # The step phase updates the workers in runs of rows whose (rows, D)
 # gradients fit this many bytes: a wide model makes no (U, D) temporaries,
@@ -123,31 +122,36 @@ class Crew:
     """What a run's workers keep from round to round, in worker-id order.
 
     ``states`` are the worker states the population was built from (pools,
-    streams and scoring sets). ``draws`` is the run's draw table: (T, U)
-    swarm weights and (T, U, B) batch positions. ``pool`` holds the
-    training features and labels every pool indexes, the pools as one
-    (U, P) index (flattened) and each row's start in it. ``score`` is every
-    worker's scoring set as one stacked batch (broadcast views of a set all
-    workers share), None for workers that keep no scoreboard. ``work`` holds
-    the buffers the step and scoring phases reuse, kept for the run.
+    streams and scoring sets). ``rows`` is the run's batches as store rows:
+    ``rows[t, u]`` are the rows of ``features`` and ``labels``, the training
+    set every pool indexes, that worker u trains on in round t, a (T, U, B)
+    table drawn once. ``c1`` and ``c2`` are the (T, U) swarm weights drawn
+    with it. ``score`` is every worker's scoring set as one stacked batch
+    (broadcast views of a set all workers share), None for workers that keep
+    no scoreboard. ``work`` holds the buffers the step and scoring phases
+    reuse, kept for the run.
     """
 
     states: tuple[WorkerState, ...]
     ids: tuple[int, ...]
     byzantine: tuple[bool, ...]
-    draws: DrawTable
-    pool: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    rows: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
     score: Batch | None
     work: Workspace = field(default_factory=Workspace)
 
     @classmethod
     def of(cls, states, h: HyperParameters) -> Crew:
         """The crew of ``states`` in the order given, with their streams'
-        draw table for ``h.rounds`` rounds. Workers with a scoreboard draw
-        swarm weights; FedAvg workers (no scoring set) draw only batches.
-        ValueError unless the workers' streams are the worker streams of one
-        seed, their pools equal-length Rows of one training set and their
-        scoring sets of one length (or none)."""
+        draws for ``h.rounds`` rounds, the batch positions as store rows.
+        Workers with a scoreboard draw swarm weights; FedAvg workers (no
+        scoring set) draw only batches. ValueError unless the workers'
+        streams are the worker streams of one seed, their pools
+        equal-length Rows of one training set and their scoring sets of
+        one length (or none)."""
         states = tuple(states)
         seed = states[0].stream.seed
         if any(s.stream != worker_stream(seed, s.worker_id) for s in states):
@@ -172,22 +176,19 @@ class Crew:
                 raise ValueError("worker scoring sets differ in length")
             score = Batch(np.stack([b.features for b in sets]), np.stack([b.labels for b in sets]))
         index = np.stack([f.index for f in features])
-        # row u's position p is flat entry u * P + p
-        starts = np.arange(0, index.size, index.shape[1])[:, None]
         ids = tuple(s.worker_id for s in states)
+        draws = draw_table(seed, ids, index.shape[1], h, coefficients=score is not None)
         return cls(
             states, ids, tuple(s.is_byzantine for s in states),
-            draw_table(seed, ids, index.shape[1], h, coefficients=score is not None),
-            (features[0].base, labels[0].base, index.reshape(-1), starts),
-            score,
+            index[np.arange(len(ids))[:, None], draws.batches], draws.c1, draws.c2,
+            features[0].base, labels[0].base, score,
         )
 
     def batches(self, t: int, rows: slice = slice(None)) -> Batch:
         """Round t's mini-batches of workers ``rows`` as one (rows, B) stacked
         batch, gathered in one pass over the training set."""
-        features, labels, index, starts = self.pool
-        at = index[self.draws.batches[t, rows] + starts[rows]]
-        return Batch(features[at], labels[at])
+        at = self.rows[t, rows]
+        return Batch(self.features[at], self.labels[at])
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,7 +303,7 @@ def worker_step(
     """
     crew = pop.crew
     c0 = inertia_schedule(h, t)
-    c1, c2 = crew.draws.c1[t], crew.draws.c2[t]
+    c1, c2 = crew.c1[t], crew.c2[t]
     if w_g is None:
         c2 = np.zeros_like(c1)
     count, dim = pop.w.shape
@@ -322,8 +323,7 @@ def worker_step(
             except Exception as exc:
                 exc.args = (f"round {t}, worker {crew.ids[u]}: {exc}",)
                 raise
-        # each row's ``grad @ grad``, bit for bit (``analysis.row_dots``)
-        grad_sq[rows] = np.matmul(part[:, None, :], part[:, :, None])[:, 0, 0]
+        grad_sq[rows] = row_dots(part, part)
         # v' needs w as it was, so w' is formed in the scratch that held the
         # displacement's terms and copied in
         w, v = pop.w[rows], pop.v[rows]

@@ -221,7 +221,7 @@ class TestRunVariant:
         full = make_workers(setup, h, True, "shared")
         local_size = len(setup.plan.worker_indices[0])
         assert len(plain[0].train_labels) == local_size
-        assert len(full[0].train_labels) == local_size + len(setup.shared.train)
+        assert len(full[0].train_labels) == local_size + len(setup.shared.train_indices)
         # plain scores on its own data, full on the shared scoring set
         assert len(plain[0].score_set) == local_size
         assert len(full[0].score_set) == len(setup.shared.score)
@@ -235,8 +235,9 @@ class TestRunVariant:
             features = [own.features]
             labels = [own.labels]
             if with_global_train:
-                features.append(setup.shared.train.features)
-                labels.append(setup.shared.train.labels)
+                shared = setup.train.subset(setup.shared.train_indices)
+                features.append(shared.features)
+                labels.append(shared.labels)
             features, labels = np.concatenate(features), np.concatenate(labels)
             assert len(worker.train_labels) == len(labels)
             rng = worker_stream(setup.seed, i).round(0)
@@ -343,6 +344,11 @@ class TestRunVariant:
         setup = build_setup(cfg, "softmax_regression", (), h, 1)
         with pytest.raises(ValueError, match="global training"):
             run_variant("cbdsl_full", setup, h)
+        # and direct callers: asked for the shared training rows, such a
+        # setup used to give local-only pools
+        for score_mode in ("shared", "none"):
+            with pytest.raises(ValueError, match=r"missing global training dataset \(global_train\)"):
+                make_workers(setup, h, True, score_mode)
         # but scoring-only variants run fine
         run_variant("cbdsl_gsc", setup, h)
 

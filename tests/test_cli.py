@@ -4,9 +4,10 @@ import hashlib
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from swarmlearn.cli import load_config, main, report_communication, run_experiment
+from swarmlearn.cli import _fmt, load_config, main, report_communication, run_experiment
 
 BASE_CONFIG = """\
 [experiment]
@@ -224,6 +225,16 @@ class TestRunExperiment:
                 (r["partition_digest"], r["init_digest"]) for r in rows if r["seed"] == seed
             }
             assert len(digests) == 1
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.25, "0.25"), (np.float64(0.25), "0.25"), (np.float64(0.1), "0.1"),
+    (np.float32(0.5), "0.5"), (np.float32(0.1), "0.10000000149011612"),
+    (np.float64("nan"), "nan"),
+])
+def test_numpy_scalars_print_as_python_numbers(value, text):
+    # np.float64 subclasses float, and its repr is "np.float64(0.25)"
+    assert _fmt(value) == text
 
 
 IDX_CONFIG = """\

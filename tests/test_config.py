@@ -92,6 +92,12 @@ def test_variant_table_matches_the_paper():
         ("partition = shard", "partition = iid\nper_worker = -5"),
         ("shards_per_worker = 2", "shards_per_worker = 0"),
         ("num_shards = 20", "num_shards = 0"),
+        # used to fail only once data was being built
+        ("classes = 4", "classes = 1"),
+        ("per_class = 250", "per_class = 0"),
+        ("dim = 5", "dim = 0"),
+        # used to run (exit 0) on a test split of every free row but 5 per class
+        ("test_per_class = 25", "test_per_class = -5"),
         # used to run a pair twice and write two identical summary rows
         ("variants = fedavg, cbdsl_full", "variants = fedavg, cbdsl_full, fedavg"),
         ("seeds = 1, 2", "seeds = 1, 1"),

@@ -17,6 +17,7 @@ from swarmlearn.data import (
     load_idx,
     partition_iid,
     partition_shards,
+    stratified_sample,
     synthetic_blobs,
 )
 from swarmlearn.model import ModelSpec
@@ -169,7 +170,7 @@ class TestPartitionIid:
     def test_reference_scale_counts(self):
         ds = Dataset(np.zeros((60000, 1)), np.zeros(60000, dtype=np.int64), 10)
         plan = partition_iid(ds, 50, 300, seed=0)
-        assert plan.num_workers == 50
+        assert len(plan.worker_indices) == 50
         assert all(len(ix) == 300 for ix in plan.worker_indices)
         flat = plan.all_indices()
         assert len(np.unique(flat)) == 15000
@@ -238,7 +239,7 @@ class TestPartitionPlan:
 
     def test_a_row_one_worker_lists_twice_is_no_overlap(self):
         plan = PartitionPlan((np.array([0, 0, 1]), np.array([2])), "iid", 4)
-        assert plan.num_workers == 2
+        assert len(plan.worker_indices) == 2
 
     @pytest.mark.parametrize("row", [-1, 4])
     def test_a_row_outside_the_parent_is_refused(self, row):
@@ -283,6 +284,11 @@ class TestGlobalShared:
         plan = partition_iid(ds, 2, 9, seed=0)
         with pytest.raises(ValueError, match="insufficient held-out"):
             build_global_shared(ds, 4, 0, plan, seed=0)
+
+    def test_negative_count_is_refused(self, balanced):
+        # a negative count used to slice every free row but |count| per class
+        with pytest.raises(ValueError, match="negative count"):
+            stratified_sample(balanced, -5, np.array([], dtype=np.int64), np.random.default_rng(0))
 
 
 class TestHistogramAndEmd:
@@ -371,8 +377,3 @@ class TestDatasetValidation:
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.array([0, 5]), 3)
-
-    def test_subset_view(self, blob_dataset):
-        sub = blob_dataset.subset([0, 1, 2])
-        assert len(sub) == 3
-        assert sub.num_classes == blob_dataset.num_classes

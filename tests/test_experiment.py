@@ -69,10 +69,11 @@ def full_world(cfg: DataConfig, seed: int, idx_pixels=None, idx_test=None):
         test = Dataset(images.reshape(len(images), -1).astype(np.float64) / 255.0,
                        labels.astype(np.int64), cfg.classes)
     else:
-        test = full.subset(set_stratified_sample(
+        rows = set_stratified_sample(
             full.labels, cfg.classes, cfg.test_per_class * cfg.classes, taken,
             derived_rng(seed, DOMAIN_ORCHESTRATOR, 3),
-        ))
+        )
+        test = Dataset(full.features[rows], full.labels[rows], cfg.classes)
     return full, plan, train_idx, score_idx, test
 
 
@@ -127,13 +128,13 @@ def test_every_array_a_run_reads_equals_the_full_world(tmp_path, source, partiti
         assert setup.shared is None
     else:
         assert same(setup.shared.train_indices, train_idx)
-        assert same(setup.shared.score_indices, score_idx)
-        assert same(setup.shared.train.features, full.features[train_idx])
-        assert same(setup.shared.train.labels, full.labels[train_idx])
+        shared_train = setup.train.subset(setup.shared.train_indices)
+        assert same(shared_train.features, full.features[train_idx])
+        assert same(shared_train.labels, full.labels[train_idx])
         assert same(setup.shared.score.features, full.features[score_idx])
         assert same(setup.shared.score.labels, full.labels[score_idx])
 
-    for with_global_train in (False, True):
+    for with_global_train in (False, True) if shared[0] else (False,):
         score_mode = "shared" if shared[1] else "none"
         for i, worker in enumerate(make_workers(setup, H, with_global_train, score_mode)):
             rows = plan.worker_indices[i]

@@ -2,8 +2,9 @@
 package is used in its module, re-exported through ``__all__``, or marked
 ``# noqa: F401`` on its own line (a binding kept for perfbench's span hooks);
 and every top-level function and class is referenced somewhere in the
-package outside its own definition, or listed in an ``__all__``; and the
-README's config reference names every INI key."""
+package outside its own definition, or listed in an ``__all__``; every
+dataclass field is read somewhere in the package; and the README's config
+reference names every INI key."""
 import ast
 import re
 from pathlib import Path
@@ -121,6 +122,75 @@ def test_an_unreferenced_definition_is_found():
         ),
     }
     assert unreferenced_definitions(sources) == ["a.loop", "b.imported_only"]
+
+
+# The records of the two KNOWN_UNREFERENCED functions, which only the tests read.
+KNOWN_UNREAD_RECORDS = {"analysis.AlignedTrace", "analysis.DivergenceVerdict"}
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """``module.Class.field`` of every field a dataclass in ``sources``
+    declares that no attribute load, and no ``getattr`` with a constant
+    name, in any of them reads, by name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    unread = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef)
+                    and any(map(is_dataclass_decorator, node.decorator_list))):
+                continue
+            unread += [f"{module}.{node.name}.{stmt.target.id}" for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                       and stmt.target.id not in read]
+    return unread
+
+
+def is_dataclass_decorator(decorator: ast.expr) -> bool:
+    """``@dataclass`` or ``@dataclasses.dataclass``, called or bare."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def test_every_dataclass_field_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    unread = [name for name in unread_fields(sources)
+              if name.rsplit(".", 1)[0] not in KNOWN_UNREAD_RECORDS]
+    assert unread == []
+
+
+def test_an_unread_field_is_found():
+    sources = {
+        "a": (
+            "from dataclasses import dataclass\n"
+            "import dataclasses\n"
+            "@dataclass(frozen=True)\n"
+            "class Record:\n"
+            "    loaded: int\n"
+            "    by_getattr: int\n"
+            "    stored_only: int\n"
+            "    KIND = 'plain'\n"
+            "@dataclasses.dataclass\n"
+            "class Other:\n"
+            "    never: float = 0.0\n"
+            "class Plain:\n"
+            "    ignored: int\n"
+        ),
+        "b": (
+            "def use(r, o, name):\n"
+            "    r.stored_only = r.loaded + getattr(r, 'by_getattr') + getattr(o, name)\n"
+        ),
+    }
+    assert unread_fields(sources) == ["a.Record.stored_only", "a.Other.never"]
 
 
 def config_reference_bullets(readme: str) -> dict[str, str]:

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from swarmlearn.attacks import STRATEGIES, AttackSpec
 from swarmlearn.baselines import run_variant
-from swarmlearn.core import HyperParameters, NonFiniteError, sample_coefficients, worker_stream
+from swarmlearn.core import (
+    HyperParameters,
+    NonFiniteError,
+    draw_table,
+    sample_coefficients,
+    worker_stream,
+)
 from swarmlearn.data import Rows, draw_batch_indices, synthetic_blobs
 from swarmlearn.experiment import DataConfig, build_setup, make_workers
 from swarmlearn.model import Batch, ModelSpec, loss, loss_and_gradient, param_count
@@ -378,6 +384,44 @@ class TestCrew:
             workers[1] = replace(workers[1], score_set=None)
         with pytest.raises(ValueError, match=cause):
             Crew.of(workers, h)
+
+    @pytest.mark.parametrize("case", ["gtr", "local", "pools_below_batch", "wide_row_slices"])
+    def test_rows_are_the_store_rows_of_each_draw(self, case):
+        # rows[t, u] is worker u's pool entry at each of round t's drawn
+        # positions, and a stacked batch gathers what each worker's Rows do
+        h = HyperParameters(rounds=6, num_workers=5, batch_size=5)
+        setup = build_setup(replace(SMALL, num_shards=40), "softmax_regression", (), h, 9)
+        run = h.num_workers
+        if case == "local":
+            workers = make_workers(setup, h, False, "local")
+        elif case == "pools_below_batch":
+            features, labels = setup.train.store.features, setup.train.store.labels
+            pools = [np.arange(3 * k, 3 * k + 3) for k in range(h.num_workers)]
+            workers = hand_workers(9, features, labels, pools)
+        else:
+            workers = make_workers(setup, h, True, "shared")
+        if case == "wide_row_slices":
+            # worker_step's runs of rows on a 200-input MLP: two rows each
+            wide = ModelSpec("mlp", input_dim=200, num_classes=10, hidden_dims=(64,))
+            run = max(1, swarm._ROW_BUDGET_BYTES // (8 * param_count(wide)))
+            assert run == 2
+        crew = Crew.of(workers, h)
+        pool = len(workers[0].train_labels)
+        draws = draw_table(9, crew.ids, pool, h, coefficients=crew.score is not None)
+        assert crew.rows.shape == draws.batches.shape == (h.rounds, h.num_workers, min(5, pool))
+        for t in range(h.rounds):
+            for u, worker in enumerate(workers):
+                want = worker.train_labels.index[draws.batches[t, u]]
+                assert np.array_equal(crew.rows[t, u], want)
+            for lo in range(0, len(workers), run):
+                rows = slice(lo, lo + run)
+                batch = crew.batches(t, rows)
+                at = draws.batches[t, rows]
+                mine = workers[rows]
+                assert batch.features.tobytes() == np.stack(
+                    [w.train_features[i] for w, i in zip(mine, at)]).tobytes()
+                assert batch.labels.tobytes() == np.stack(
+                    [w.train_labels[i] for w, i in zip(mine, at)]).tobytes()
 
 
 class TestRunRound:
