@@ -124,9 +124,10 @@ class KeptRows(LabelSet):
         position[kept] = np.arange(len(kept))
         return cls(full.labels, full.num_classes, store, position)
 
-    def subset(self, indices) -> Dataset:
+    def batch(self, indices) -> Batch:
+        """Original rows ``indices``: (n, d) for an (n,) index, (U, n, d) for (U, n)."""
         at = self.position[indices]
-        return Dataset(self.store.features[at], self.store.labels[at], self.num_classes)
+        return Batch(self.store.features[at], self.store.labels[at])
 
     def rows(self, indices) -> tuple[Rows, Rows]:
         """Features and labels of original rows ``indices`` as Rows views of

@@ -111,7 +111,6 @@ class ExperimentSetup:
     shared: datamod.GlobalShared | None
     spec: ModelSpec
     init_w: np.ndarray          # (D,) shared or (U, D) per-worker
-    init_mode: str
     seed: int
     partition_digest: str
     init_digest: str
@@ -217,7 +216,6 @@ def build_setup(
         shared=shared,
         spec=spec,
         init_w=init_w,
-        init_mode=init_mode,
         seed=seed,
         partition_digest=_digest_plan(plan),
         init_digest=_digest_array(init_w),
@@ -225,9 +223,7 @@ def build_setup(
 
 
 def initial_w_for(setup: ExperimentSetup, worker_id: int) -> np.ndarray:
-    if setup.init_mode == "shared":
-        return setup.init_w.copy()
-    return setup.init_w[worker_id].copy()
+    return (setup.init_w[worker_id] if setup.init_w.ndim == 2 else setup.init_w).copy()
 
 
 def worker_pool(setup: ExperimentSetup, worker_id: int, with_global_train: bool):
@@ -250,50 +246,43 @@ def make_workers(
     score_mode: str,            # "shared" | "local" | "none"
 ) -> list[WorkerState]:
     """The run's workers in worker-id order. Swarm workers (a ``score_mode``
-    other than "none") carry their start as ``w`` and ``w_p`` and a zero
-    ``v``, all read-only views of the setup's start and of one zero vector:
-    ``Population.of`` copies them into the run's rows. FedAvg workers hold
-    no model of their own and carry none."""
+    other than "none") carry read-only views of their start as ``w`` and
+    ``w_p`` and of one zero ``v``, which ``Population.of`` copies into the
+    run's rows, and a scoring set: one shared Batch or a row of one (U, n, d)
+    gather. One ``loss`` call scores every start. FedAvg workers carry none."""
     if score_mode == "shared" and (setup.shared is None or not len(setup.shared.score)):
         raise ValueError("missing global scoring dataset (global_score)")
     if with_global_train and (setup.shared is None or not len(setup.shared.train_indices)):
         raise ValueError("missing global training dataset (global_train)")
-    # one scoring Batch for every worker; None when score_mode is "none"
-    score_set = setup.shared.score.as_batch() if score_mode == "shared" else None
-    pools = [worker_pool(setup, i, with_global_train) for i in range(h.num_workers)]
-    zero = None
+    count = h.num_workers
+    pools = [worker_pool(setup, i, with_global_train) for i in range(count)]
+    zero, starts, sets, f_p = None, [None] * count, [None] * count, np.full(count, math.inf)
     if score_mode != "none":
-        zero = np.zeros(param_count(setup.spec))
-        zero.flags.writeable = False
-    workers = []
-    for i, (features, labels) in enumerate(pools):
-        if score_mode == "local":
-            # scored here once for f_p; the crew stacks its own copy for the rounds
-            score_set = setup.train.subset(setup.plan.worker_indices[i]).as_batch()
-        w0 = (setup.init_w if setup.init_mode == "shared" else setup.init_w[i]).view()
-        w0.flags.writeable = False
-        if score_set is None:
-            f_p = math.inf
-        elif workers and score_mode == "shared" and setup.init_mode == "shared":
-            f_p = workers[0].f_p  # same start, same scoring set: the same score
+        zero = np.broadcast_to(0.0, param_count(setup.spec))
+        starts = np.broadcast_to(setup.init_w, (count, len(zero)))
+        if score_mode == "shared":
+            sets = [setup.shared.score.as_batch()] * count
+            scored = sets[0] if setup.init_w.ndim == 1 else sets[0].repeat(count)
         else:
-            f_p = loss(setup.spec, w0, score_set)
-        workers.append(
-            WorkerState(
-                worker_id=i,
-                w=w0 if zero is not None else None,
-                v=zero,
-                w_p=w0 if zero is not None else None,
-                f_p=f_p,
-                train_features=features,
-                train_labels=labels,
-                score_set=score_set,
-                stream=worker_stream(seed=setup.seed, worker_id=i),
-            )
+            scored = setup.train.batch(np.stack(setup.plan.worker_indices))
+            sets = [Batch(x, y) for x, y in zip(scored.features, scored.labels)]
+        f_p = np.broadcast_to(loss(setup.spec, setup.init_w, scored), (count,))
+    return [
+        WorkerState(
+            worker_id=i,
+            w=w0,
+            v=zero,
+            w_p=w0,
+            f_p=float(f_p[i]),
+            train_features=features,
+            train_labels=labels,
+            score_set=sets[i],
+            stream=worker_stream(seed=setup.seed, worker_id=i),
         )
-    return workers
+        for i, (w0, (features, labels)) in enumerate(zip(starts, pools))
+    ]
 
 
 def population_batch(setup: ExperimentSetup) -> Batch:
     """Union of all worker partitions: the empirical population."""
-    return setup.train.subset(np.sort(setup.plan.all_indices())).as_batch()
+    return setup.train.batch(np.sort(setup.plan.all_indices()))

@@ -84,6 +84,11 @@ class Batch:
         """The number of samples, U·B for a stack."""
         return self.labels.size
 
+    def repeat(self, count: int) -> Batch:
+        """This batch ``count`` times over, as a stack of broadcast views."""
+        return Batch(np.broadcast_to(self.features, (count, *self.features.shape)),
+                     np.broadcast_to(self.labels, (count, *self.labels.shape)))
+
 
 def param_count(spec: ModelSpec) -> int:
     return spec._layout[1]

@@ -127,9 +127,9 @@ class Crew:
     set every pool indexes, that worker u trains on in round t, a (T, U, B)
     table drawn once. ``c1`` and ``c2`` are the (T, U) swarm weights drawn
     with it. ``score`` is every worker's scoring set as one stacked batch
-    (broadcast views of a set all workers share), None for workers that keep
-    no scoreboard. ``work`` holds the buffers the step and scoring phases
-    reuse, kept for the run.
+    (broadcast views of one shared set, or the adopted stack whose rows are
+    the local sets), None without a scoreboard. ``work`` holds the buffers
+    the step and scoring phases reuse, kept for the run.
     """
 
     states: tuple[WorkerState, ...]
@@ -150,8 +150,8 @@ class Crew:
         Workers with a scoreboard draw swarm weights; FedAvg workers (no
         scoring set) draw only batches. ValueError unless the workers'
         streams are the worker streams of one seed, their pools
-        equal-length Rows of one training set and their scoring sets of
-        one length (or none)."""
+        equal-length Rows of one training set and their scoring sets one
+        set, the rows of one stack in the order given, or none."""
         states = tuple(states)
         seed = states[0].stream.seed
         if any(s.stream != worker_stream(seed, s.worker_id) for s in states):
@@ -167,14 +167,19 @@ class Crew:
         sets = [s.score_set for s in states]
         score = None
         if all(b is sets[0] for b in sets) and sets[0] is not None:
-            score = Batch(np.broadcast_to(sets[0].features, (len(sets), *sets[0].features.shape)),
-                          np.broadcast_to(sets[0].labels, (len(sets), *sets[0].labels.shape)))
+            score = sets[0].repeat(len(sets))
         elif any(b is not None for b in sets):
             if any(b is None for b in sets):
                 raise ValueError("some workers have a scoring set and some have none")
             if len({b.labels.shape for b in sets}) != 1:
                 raise ValueError("worker scoring sets differ in length")
-            score = Batch(np.stack([b.features for b in sets]), np.stack([b.labels for b in sets]))
+            x, y = sets[0].features.base, sets[0].labels.base
+            if not (isinstance(x, np.ndarray) and isinstance(y, np.ndarray) and len(y) == len(sets)
+                    and all(b.features.__array_interface__ == x[u].__array_interface__
+                            and b.labels.__array_interface__ == y[u].__array_interface__
+                            for u, b in enumerate(sets))):
+                raise ValueError("worker scoring sets are not the rows of one stack")
+            score = Batch(x, y)
         index = np.stack([f.index for f in features])
         ids = tuple(s.worker_id for s in states)
         draws = draw_table(seed, ids, index.shape[1], h, coefficients=score is not None)

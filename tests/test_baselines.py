@@ -231,11 +231,11 @@ class TestRunVariant:
         setup, h = small_setup(seed=6)
         workers = make_workers(setup, h, with_global_train, "shared")
         for i, worker in enumerate(workers):
-            own = setup.train.subset(setup.plan.worker_indices[i])
+            own = setup.train.batch(setup.plan.worker_indices[i])
             features = [own.features]
             labels = [own.labels]
             if with_global_train:
-                shared = setup.train.subset(setup.shared.train_indices)
+                shared = setup.train.batch(setup.shared.train_indices)
                 features.append(shared.features)
                 labels.append(shared.labels)
             features, labels = np.concatenate(features), np.concatenate(labels)
@@ -314,20 +314,42 @@ class TestRunVariant:
         assert not any(np.shares_memory(rows, setup.init_w) or np.shares_memory(rows, workers[0].v)
                        for rows in (pop.w, pop.v, pop.w_p))
 
-    @pytest.mark.parametrize("init_mode, scored", [("shared", 1), ("per_worker", 4)])
-    def test_initial_scores(self, monkeypatch, init_mode, scored):
-        # a shared start on the shared scoring set is one score for every worker
+    @pytest.mark.parametrize("init_mode", ["shared", "per_worker"])
+    @pytest.mark.parametrize("score_mode", ["shared", "local"])
+    def test_initial_scores(self, monkeypatch, init_mode, score_mode):
+        # every start is scored in one loss call, bit-equal to scoring each
+        # worker's start on its own scoring set alone
         import swarmlearn.experiment as experiment_mod
 
         h = HyperParameters(rounds=1, num_workers=4, batch_size=5)
         setup = build_setup(SMALL, "softmax_regression", (), h, 1, init_mode)
         calls = []
         monkeypatch.setattr(experiment_mod, "loss", lambda *args: calls.append(1) or loss(*args))
-        workers = make_workers(setup, h, True, "shared")
-        assert len(calls) == scored
-        score = setup.shared.score.as_batch()
+        workers = make_workers(setup, h, True, score_mode)
+        assert len(calls) == 1
         for worker in workers:
-            assert worker.f_p == loss(setup.spec, initial_w_for(setup, worker.worker_id), score)
+            want = loss(setup.spec, initial_w_for(setup, worker.worker_id), worker.score_set)
+            assert np.float64(worker.f_p).tobytes() == np.float64(want).tobytes()
+
+    def test_local_scoring_sets_are_held_once(self):
+        # the workers' local sets are the rows of one gathered stack, and the
+        # crew scores that stack itself: a second copy would double the peak
+        cfg = DataConfig(dim=200, partition="iid", per_worker=300, global_train=600, global_score=500)
+        h = HyperParameters(rounds=1, num_workers=10, batch_size=5)
+        setup = build_setup(cfg, "softmax_regression", (), h, 1)
+        local_bytes = h.num_workers * cfg.per_worker * cfg.dim * 8
+        tracemalloc.start()
+        try:
+            workers = make_workers(setup, h, False, "local")
+            crew = Crew.of(workers, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert crew.score.features.shape == (h.num_workers, cfg.per_worker, cfg.dim)
+        for u, worker in enumerate(workers):
+            assert np.shares_memory(crew.score.features[u], worker.score_set.features)
+            assert np.shares_memory(crew.score.labels[u], worker.score_set.labels)
+        assert peak < 1.5 * local_bytes
 
     def test_pure_pso_is_rejected(self):
         setup, h = small_setup(seed=7)

@@ -128,9 +128,10 @@ def test_every_array_a_run_reads_equals_the_full_world(tmp_path, source, partiti
         assert setup.shared is None
     else:
         assert same(setup.shared.train_indices, train_idx)
-        shared_train = setup.train.subset(setup.shared.train_indices)
-        assert same(shared_train.features, full.features[train_idx])
-        assert same(shared_train.labels, full.labels[train_idx])
+        if len(train_idx):   # a Batch is never empty
+            shared_train = setup.train.batch(setup.shared.train_indices)
+            assert same(shared_train.features, full.features[train_idx])
+            assert same(shared_train.labels, full.labels[train_idx])
         assert same(setup.shared.score.features, full.features[score_idx])
         assert same(setup.shared.score.labels, full.labels[score_idx])
 
@@ -160,7 +161,7 @@ def test_a_dropped_row_raises_on_read():
     assert len(setup.shared.score) == 500
     for row in (dropped[0], dropped[-1], dropped[len(dropped) // 2]):
         with pytest.raises(IndexError):
-            setup.train.subset([row])
+            setup.train.batch([row])
         features, labels = setup.train.rows([row])
         with pytest.raises(IndexError):
             features[0]

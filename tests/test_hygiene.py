@@ -3,15 +3,30 @@ package is used in its module, re-exported through ``__all__``, or marked
 ``# noqa: F401`` on its own line (a binding kept for perfbench's span hooks);
 and every top-level function and class is referenced somewhere in the
 package outside its own definition, or listed in an ``__all__``; every
-dataclass field is read somewhere in the package; and the README's config
-reference names every INI key."""
+dataclass field is read by the package's own code, as a field of the class
+that declares it, while short runs cover every variant, attack and
+diagnostic; and the README's config reference names every INI key."""
 import ast
+import dataclasses
+import importlib
 import re
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from swarmlearn import analysis, cli
 from swarmlearn.cli import _SECTION_KEYS
+from swarmlearn.core import HyperParameters
+from swarmlearn.data import label_histogram
+from swarmlearn.experiment import (
+    DataConfig,
+    build_setup,
+    initial_w_for,
+    make_workers,
+    population_batch,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "swarmlearn"
@@ -124,73 +139,150 @@ def test_an_unreferenced_definition_is_found():
     assert unreferenced_definitions(sources) == ["a.loop", "b.imported_only"]
 
 
-# The records of the two KNOWN_UNREFERENCED functions, which only the tests read.
-KNOWN_UNREAD_RECORDS = {"analysis.AlignedTrace", "analysis.DivergenceVerdict"}
+def field_owner(cls: type, name: str) -> type:
+    """The class that declares field ``name`` of dataclass ``cls``: the most
+    basic dataclass in its MRO that has the field."""
+    return next(base for base in reversed(cls.__mro__) if dataclasses.is_dataclass(base)
+                and name in {f.name for f in dataclasses.fields(base)})
 
 
-def unread_fields(sources: dict[str, str]) -> list[str]:
-    """``module.Class.field`` of every field a dataclass in ``sources``
-    declares that no attribute load, and no ``getattr`` with a constant
-    name, in any of them reads, by name."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id == "getattr" and len(node.args) > 1
-                  and isinstance(node.args[1], ast.Constant)):
-                read.add(node.args[1].value)
-    unread = []
-    for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.ClassDef)
-                    and any(map(is_dataclass_decorator, node.decorator_list))):
-                continue
-            unread += [f"{module}.{node.name}.{stmt.target.id}" for stmt in node.body
-                       if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                       and stmt.target.id not in read]
-    return unread
+def label(cls: type) -> str:
+    return f"{cls.__module__.rsplit('.', 1)[-1]}.{cls.__qualname__}"
 
 
-def is_dataclass_decorator(decorator: ast.expr) -> bool:
-    """``@dataclass`` or ``@dataclasses.dataclass``, called or bare."""
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return (isinstance(target, ast.Name) and target.id == "dataclass"
-            or isinstance(target, ast.Attribute) and target.attr == "dataclass")
+def unread_fields(modules, run) -> list[str]:
+    """``module.Class.field`` of every field a dataclass defined in
+    ``modules`` declares that no code in those modules' files reads while
+    ``run()`` runs. A read is credited to the class that declares the field,
+    whatever object it is read on; generated methods (``__init__``,
+    ``__eq__``, ``__repr__``), ``dataclasses.replace`` and callers outside
+    the modules' files do not count."""
+    classes = [obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+               and obj.__module__ == module.__name__]
+    files = {module.__file__ for module in modules}
+    reads = set()
+
+    def recorder(owners: dict[str, str]):
+        def __getattribute__(self, name):
+            owner = owners.get(name)
+            if owner is not None and sys._getframe(1).f_code.co_filename in files:
+                reads.add(owner)
+            return object.__getattribute__(self, name)
+        return __getattribute__
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in classes:
+            owners = {f.name: f"{label(field_owner(cls, f.name))}.{f.name}"
+                      for f in dataclasses.fields(cls)}
+            patch.setattr(cls, "__getattribute__", recorder(owners))
+        run()
+    declared = [f"{label(cls)}.{f.name}" for cls in classes for f in dataclasses.fields(cls)
+                if field_owner(cls, f.name) is cls]
+    return [name for name in declared if name not in reads]
 
 
-def test_every_dataclass_field_is_read():
-    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    unread = [name for name in unread_fields(sources)
-              if name.rsplit(".", 1)[0] not in KNOWN_UNREAD_RECORDS]
-    assert unread == []
+# Only the tests read the records divergence_bound_check returns, and the
+# trajectory snapshots run_genie_aligned hands to the Lipschitz probes.
+KNOWN_UNREAD = {"analysis.DivergenceVerdict", "analysis.AlignedTrace.envelope"}
+
+_TINY_CONFIG = """\
+[experiment]
+variants = {variants}
+seeds = 1
+output_dir = {out}
+[data]
+classes = 4
+per_class = 100
+dim = 5
+test_per_class = 10
+num_shards = 20
+global_train = 40
+global_score = 40
+[model]
+kind = mlp
+hidden_dims = 3
+init = {init}
+[hyper]
+rounds = 3
+num_workers = 4
+batch_size = 5
+[attack]
+strategy = {strategy}
+attackers = {attackers}
+[diagnostics]
+cosine_stats = on
+divergence = on
+lipschitz_probes = 8
+"""
 
 
-def test_an_unread_field_is_found():
-    sources = {
-        "a": (
-            "from dataclasses import dataclass\n"
-            "import dataclasses\n"
-            "@dataclass(frozen=True)\n"
-            "class Record:\n"
-            "    loaded: int\n"
-            "    by_getattr: int\n"
-            "    stored_only: int\n"
-            "    KIND = 'plain'\n"
-            "@dataclasses.dataclass\n"
-            "class Other:\n"
-            "    never: float = 0.0\n"
-            "class Plain:\n"
-            "    ignored: int\n"
-        ),
-        "b": (
-            "def use(r, o, name):\n"
-            "    r.stored_only = r.loaded + getattr(r, 'by_getattr') + getattr(o, name)\n"
-        ),
-    }
-    assert unread_fields(sources) == ["a.Record.stored_only", "a.Other.never"]
+def tiny_runs(tmp_path):
+    """Short runs of every variant, both attack strategies and both
+    diagnostics through the CLI, the communication report, and the two
+    KNOWN_UNREFERENCED functions on a tiny setup."""
+    runs = [("fedavg, fedavg_gtr, cbdsl_plain, cbdsl_gsc, cbdsl_full", "per_worker", "none", ""),
+            ("cbdsl_gsc, cbdsl_full", "shared", "fake_loss_garbage", "0"),
+            ("cbdsl_plain, cbdsl_full", "shared", "fake_loss_scaled", "1, 2")]
+    for k, (variants, init, strategy, attackers) in enumerate(runs):
+        out = tmp_path / f"out{k}"
+        config = tmp_path / f"run{k}.ini"
+        config.write_text(_TINY_CONFIG.format(variants=variants, out=out, init=init,
+                                              strategy=strategy, attackers=attackers))
+        assert cli.run_experiment(str(config)) == 0
+    assert cli.report_communication(str(tmp_path / "out0")) == 0
+
+    h = HyperParameters(rounds=3, num_workers=3, batch_size=5)
+    setup = build_setup(DataConfig(classes=4, per_class=100, dim=5, test_per_class=10,
+                                   num_shards=20, global_train=40, global_score=40),
+                        "softmax_regression", (), h, 1)
+    workers = make_workers(setup, h, False, "shared")
+    population = population_batch(setup)
+    genie = analysis.GenieState(initial_w_for(setup, 0), np.zeros(setup.init_w.shape[-1]))
+    _, _, trace = analysis.run_genie_aligned(
+        workers, genie, setup.spec, h, h.rounds, population, 4)
+    hists = np.stack([label_histogram(setup.train.labels[rows], 4)
+                      for rows in setup.plan.worker_indices])
+    lip = analysis.estimate_model_lipschitz(setup.spec, population, 4, 8, np.random.default_rng(0))
+    analysis.divergence_bound_check(trace, hists, label_histogram(population.labels, 4), lip, h)
+
+
+def test_every_dataclass_field_is_read(tmp_path):
+    modules = [importlib.import_module(f"swarmlearn.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__main__"]
+    unread = unread_fields(modules, lambda: tiny_runs(tmp_path))
+    assert [name for name in unread
+            if name not in KNOWN_UNREAD and name.rsplit(".", 1)[0] not in KNOWN_UNREAD] == []
+
+
+def test_an_unread_field_is_found(tmp_path, monkeypatch):
+    # Shared.labels is read nowhere, though a field of the same name on
+    # another class is; test code reading it does not count either
+    (tmp_path / "fieldsample.py").write_text(
+        "from dataclasses import dataclass, replace\n"
+        "@dataclass(frozen=True)\n"
+        "class Base:\n"
+        "    inherited: int\n"
+        "@dataclass(frozen=True)\n"
+        "class Records(Base):\n"
+        "    labels: int\n"
+        "    replaced_only: int\n"
+        "@dataclass\n"
+        "class Shared:\n"
+        "    labels: int\n"
+        "    by_getattr: int\n"
+        "def use(r, s):\n"
+        "    return r.labels + r.inherited + getattr(s, 'by_getattr') + replace(r).labels\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    module = importlib.import_module("fieldsample")
+
+    def run():
+        shared = module.Shared(1, 2)
+        assert module.use(module.Records(0, 1, 2), shared) == 4 and shared.labels == 1
+
+    assert unread_fields([module], run) == ["fieldsample.Records.replaced_only",
+                                            "fieldsample.Shared.labels"]
 
 
 def config_reference_bullets(readme: str) -> dict[str, str]:

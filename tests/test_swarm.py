@@ -362,6 +362,8 @@ class TestCrew:
         ("foreign_stream", "not the worker streams of one seed"),
         ("unequal_scoring", "scoring sets differ in length"),
         ("missing_scoring", "some have none"),
+        ("separate_scoring", "not the rows of one stack"),
+        ("unordered_scoring", "not the rows of one stack"),
     ])
     def test_workers_without_one_layout_are_rejected(self, case, cause):
         # a run's workers carry the worker streams of one seed, equal-length
@@ -380,6 +382,16 @@ class TestCrew:
         elif case == "unequal_scoring":
             workers = [replace(w, score_set=Batch(features[:20 + k], labels[:20 + k]))
                        for k, w in enumerate(workers)]
+        elif case == "separate_scoring":
+            # equal-length local sets, each an array of its own
+            workers = [replace(w, score_set=Batch(w.score_set.features.copy(),
+                                                  w.score_set.labels.copy()))
+                       for w in make_workers(setup, h, False, "local")]
+        elif case == "unordered_scoring":
+            # rows of one stack, but workers 0 and 1 hold each other's
+            workers = make_workers(setup, h, False, "local")
+            workers[0], workers[1] = (replace(workers[0], score_set=workers[1].score_set),
+                                      replace(workers[1], score_set=workers[0].score_set))
         else:
             workers[1] = replace(workers[1], score_set=None)
         with pytest.raises(ValueError, match=cause):
