@@ -188,6 +188,20 @@ def load_config(path: str) -> ExperimentConfig:
         diagnostics = _from_section(parser, "diagnostics")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # a key its section's own switch leaves unread would run as if absent
+    unread = (
+        (data.partition == "shard", "under partition = shard", "data", ("per_worker",)),
+        (data.partition == "iid", "under partition = iid", "data", ("num_shards", "shards_per_worker")),
+        (data.source == "idx", "under source = idx", "data", ("per_class", "dim", "separation")),
+        (data.idx_test_images is not None, "with idx_test_images set", "data", ("test_per_class",)),
+        (attack.strategy != "fake_loss_scaled", f"under strategy = {attack.strategy}", "attack",
+         ("scale",)),
+        (not diagnostics.cosine_stats, "with cosine_stats = off", "diagnostics", ("lipschitz_probes",)),
+    )
+    for applies, switch, section, keys in unread:
+        for key in keys:
+            if applies and parser.get(section, key, fallback="").strip():
+                raise ConfigError(f"[{section}] {key} is unread {switch}; remove it")
 
     return ExperimentConfig(
         variants=variants,

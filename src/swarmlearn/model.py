@@ -98,7 +98,8 @@ def _unpack(
     spec: ModelSpec, w: np.ndarray, lead: tuple[int, ...] = ()
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views of the flat vector, or of each row of a ``lead`` stack of them,
-    as per-layer (weight matrix, bias) pairs."""
+    as per-layer (weight matrix (..., out, in), bias (..., 1, out)) pairs: a
+    bias row broadcasts over the samples of its slice."""
     layers, count = spec._layout
     if w.shape != (*lead, count):
         raise ValueError(
@@ -106,7 +107,7 @@ def _unpack(
         )
     return [
         (w[..., at : at + out * inp].reshape(*lead, out, inp),
-         w[..., at + out * inp : at + out * inp + out])
+         w[..., None, at + out * inp : at + out * inp + out])
         for at, out, inp in layers
     ]
 
@@ -116,18 +117,33 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-0.05, 0.05, size=param_count(spec))
 
 
-def _forward(layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray):
-    """The logits of ``_unpack``'s layers, and each layer's input: the
-    features, then each hidden layer's ReLU output."""
+def _forward(layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray, buffer=None):
+    """The logits of ``_unpack``'s layers (one vector's, or a (g, D) stack's
+    for (g, N, d) features), and each layer's input: the features, then each
+    hidden ReLU output. Each bias is added where its layer is computed; given
+    ``buffer(name, shape)``, the layers are written into ``buffer("hidden{i}",
+    ...)`` and ``buffer("logits", ...)``, else each is a fresh array."""
     inputs = [features]
-    for weight, bias in layers[:-1]:
-        a = inputs[-1] @ weight.T
+    last = len(layers) - 1
+    for i, (weight, bias) in enumerate(layers):
+        x = inputs[-1]
+        if buffer is None:
+            a = x @ weight.swapaxes(-1, -2)
+        else:
+            name = "logits" if i == last else f"hidden{i}"
+            a = np.matmul(x, weight.swapaxes(-1, -2),
+                          out=buffer(name, (*x.shape[:-1], weight.shape[-2])))
         a += bias
+        if i == last:
+            return a, inputs
         inputs.append(np.maximum(a, 0.0, out=a))
-    weight, bias = layers[-1]
-    z = inputs[-1] @ weight.T
-    z += bias
-    return z, inputs
+
+
+def _true_class_at(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Flat offsets row * C + label of the true classes in C-ordered (..., N, C) logits."""
+    at = np.arange(0, z.size, z.shape[-1])
+    at += labels.reshape(-1)
+    return at
 
 
 class Workspace:
@@ -193,40 +209,25 @@ def _class_sum(e: np.ndarray, initial: float | None = 0.0) -> np.ndarray:
 
 
 def _score_slices(spec: ModelSpec, w: np.ndarray, features: np.ndarray, labels: np.ndarray,
-                  buffer=_fresh):
+                  buffer):
     """The mean cross-entropy of each of g slices: w (g, D) or (D,),
     features (g, N, d) and labels (g, N).
 
-    The logits come from one BLAS call per slice, as in ``_forward``; the
-    rest runs class-major on (g, C, N): the bias, the max over classes, the
-    true-class picks, the shifted exponentials (in place) and their class
-    sums each take one pass over contiguous rows of N samples."""
-    g, n = labels.shape
-    layers = _unpack(spec, w, w.shape[:-1])
-    a = features
-    for i, (weight, bias) in enumerate(layers[:-1]):
-        hidden = buffer(f"hidden{i}", (g, n, weight.shape[-2]))
-        np.matmul(a, weight.swapaxes(-1, -2), out=hidden)
-        hidden += bias[..., None, :]
-        a = np.maximum(hidden, 0.0, out=hidden)
-    weight, bias = layers[-1]
-    classes = weight.shape[-2]
-    z = buffer("logits", (g, n, classes))
-    np.matmul(a, weight.swapaxes(-1, -2), out=z)
+    ``_forward`` writes the logits into ``buffer``'s arrays; a class-major
+    (g, C, N) copy of them then takes the max over classes, the shifted
+    exponentials (in place) and their class sums, each one pass over
+    contiguous rows of N samples."""
+    z = _forward(_unpack(spec, w, w.shape[:-1]), features, buffer)[0]
+    g, n, classes = z.shape
+    true = z.reshape(-1)[_true_class_at(z, labels)]
     zc = buffer("class_major", (g, classes, n))
     np.copyto(zc, z.swapaxes(-1, -2))
-    zc += bias[..., :, None]
     m = np.max(zc, axis=-2, out=buffer("row_max", (g, n)))
-    # the true-class logits, at flat offsets (u * C + label) * N + row,
-    # picked before the exponentials overwrite them
-    at = (np.arange(g)[:, None] * classes + labels) * n
-    at += np.arange(n)
-    true = zc.reshape(-1)[at]
     zc -= m[..., None, :]
     np.exp(zc, out=zc)
     per_row = np.log(_class_sum(zc))
     np.add(m, per_row, out=per_row)
-    per_row -= true
+    per_row -= true.reshape(g, n)
     return per_row.sum(axis=-1) / n
 
 
@@ -275,9 +276,7 @@ def loss_and_gradient(
     layers = _unpack(spec, w)
     z, inputs = _forward(layers, batch.features)
     n = z.shape[-2]
-    # the true-class entries, at flat offsets row * C + label
-    at = np.arange(0, z.size, z.shape[-1])
-    at += batch.labels.reshape(-1)
+    at = _true_class_at(z, batch.labels)
     # numpy reduces short rows one by one; the max over contiguous rows of a
     # class-major copy is the same (a max rounds nothing) and faster past a
     # few dozen rows
@@ -303,7 +302,7 @@ def loss_and_gradient(
     for i in range(len(layers) - 1, -1, -1):
         g_w, g_b = grad_layers[i]
         np.matmul(delta.swapaxes(-1, -2), inputs[i], out=g_w)
-        delta.sum(axis=-2, out=g_b)
+        delta.sum(axis=-2, keepdims=True, out=g_b)
         if i > 0:  # a ReLU output is positive where its pre-activation is
             delta = (delta @ layers[i][0]) * (inputs[i] > 0)
     return (value if value.ndim else float(value)), grad

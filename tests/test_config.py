@@ -68,6 +68,30 @@ def test_variant_table_matches_the_paper():
     }
 
 
+SYNTHETIC = "source = synthetic\nclasses = 4\nper_class = 250\ndim = 5\nseparation = 6.0"
+IDX = "source = idx\nidx_images = images.idx\nidx_labels = labels.idx\nclasses = 4"
+SHARDS = "partition = shard\nnum_shards = 20\nshards_per_worker = 2"
+
+# A key its section's own switch leaves unread: (text replaced, replacement,
+# the message's start). Each used to run as if the key were absent (exit 0).
+UNREAD_KEYS = [
+    ("partition = shard", "partition = shard\nper_worker = 7",
+     "[data] per_worker is unread under partition = shard"),
+    (SHARDS, "partition = iid\nnum_shards = 20", "[data] num_shards is unread under partition = iid"),
+    (SHARDS, "partition = iid\nshards_per_worker = 2",
+     "[data] shards_per_worker is unread under partition = iid"),
+    (SYNTHETIC, IDX + "\nper_class = 250", "[data] per_class is unread under source = idx"),
+    (SYNTHETIC, IDX + "\ndim = 5", "[data] dim is unread under source = idx"),
+    (SYNTHETIC, IDX + "\nseparation = 6.0", "[data] separation is unread under source = idx"),
+    (SYNTHETIC, IDX + "\nidx_test_images = test-images.idx\nidx_test_labels = test-labels.idx",
+     "[data] test_per_class is unread with idx_test_images set"),
+    ("batch_size = 5", "batch_size = 5\n[attack]\nscale = 3.5",
+     "[attack] scale is unread under strategy = none"),
+    ("batch_size = 5", "batch_size = 5\n[diagnostics]\nlipschitz_probes = 4",
+     "[diagnostics] lipschitz_probes is unread with cosine_stats = off"),
+]
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -113,6 +137,7 @@ def test_variant_table_matches_the_paper():
         # either half of an attack used to run unattacked (exit 0, no detections)
         ("batch_size = 5", "batch_size = 5\n[attack]\nattackers = 0\nstrategy = none"),
         ("batch_size = 5", "batch_size = 5\n[attack]\nstrategy = fake_loss_garbage"),
+        *[(old, new) for old, new, _ in UNREAD_KEYS],
     ],
 )
 def test_rejected_before_anything_runs(tmp_path, old, new):
@@ -137,6 +162,20 @@ def test_repeated_and_negative_entries_name_their_key(tmp_path, capsys, old, new
     text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
     assert run_experiment(str(write_config(tmp_path, text))) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("old, new, message", UNREAD_KEYS)
+def test_an_unread_key_names_its_section_and_key(tmp_path, capsys, old, new, message):
+    text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
+    assert run_experiment(str(write_config(tmp_path, text))) == 2
+    assert capsys.readouterr().err == f"config error: {message}; remove it\n"
+
+
+def test_an_unread_key_left_empty_is_absent(tmp_path):
+    # an empty value takes the default, as for every key
+    text = BASE_CONFIG.format(out=tmp_path / "out").replace("partition = shard",
+                                                            "partition = shard\nper_worker =")
+    assert load_config(str(write_config(tmp_path, text))).data.per_worker == DataConfig().per_worker
 
 
 # One bad value per dataclass section: (text replaced, replacement, the

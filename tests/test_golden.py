@@ -55,6 +55,8 @@ def mlp_iid_parser() -> configparser.ConfigParser:
     """
     parser = desk_parser()
     parser["data"]["partition"] = "iid"
+    # the iid split reads no shard keys
+    del parser["data"]["num_shards"], parser["data"]["shards_per_worker"]
     parser["model"].update(kind="mlp", hidden_dims="16", init="per_worker")
     parser["hyper"].update(inertia="linear", alpha="0.05")
     return parser

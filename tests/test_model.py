@@ -336,6 +336,41 @@ def test_stacked_slices_bit_equal_to_single_calls(case):
     assert batch.labels.tobytes() == labels_before
 
 
+@st.composite
+def forward_cases(draw):
+    """A spec, its layers and features: one vector on a 2-D batch, one
+    vector on a stack of U batches, or a (U, D) stack on a stack."""
+    classes, input_dim = draw(st.integers(2, 12)), draw(st.integers(1, 12))
+    hidden = draw(st.one_of(st.just(()), st.lists(st.integers(1, 20), min_size=1, max_size=2)))
+    spec = ModelSpec("mlp" if hidden else "softmax_regression", input_dim, classes, tuple(hidden))
+    form = draw(st.sampled_from(["one_on_rows", "one_on_stack", "stack_on_stack"]))
+    u, rows = draw(st.integers(1, 8)), draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.standard_normal((u, param_count(spec)) if form == "stack_on_stack" else param_count(spec))
+    features = rng.standard_normal((rows, input_dim) if form == "one_on_rows" else (u, rows, input_dim))
+    return spec, model._unpack(spec, w, w.shape[:-1]), features
+
+
+@settings(max_examples=150, deadline=None)
+@given(forward_cases())
+def test_buffered_forward_bit_equal_to_the_fresh_one(case):
+    # one forward pass serves every kernel: written into a Workspace's
+    # buffers, each layer keeps every bit of the fresh arrays
+    spec, layers, features = case
+    z, inputs = model._forward(layers, features)
+    work = model.Workspace()
+    zb, inputs_b = model._forward(layers, features, work.array)
+    assert zb.shape == z.shape == (*features.shape[:-1], spec.num_classes)
+    assert zb.tobytes() == z.tobytes()
+    assert len(inputs_b) == len(inputs) == len(spec.hidden_dims) + 1
+    assert inputs_b[0] is inputs[0] is features
+    for i, (got, want) in enumerate(zip(inputs_b[1:], inputs[1:])):
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, work.array(f"hidden{i}", got.shape))
+    assert np.shares_memory(zb, work.array("logits", zb.shape))
+    assert not np.shares_memory(z, work.array("logits", z.shape))
+
+
 # Class counts just past one pairwise block, with a half that is not a
 # multiple of 8, past two blocks, and a prime whose halves split unevenly
 # four levels deep.
