@@ -33,6 +33,7 @@ from .experiment import (
     ModelConfig,
     RoundRecord,
     build_setup,
+    draw_labels,
     initial_w_for,
     population_batch,
 )
@@ -123,8 +124,21 @@ def _str_list(raw: str) -> tuple[str, ...]:
     return tuple(tok for tok in raw.replace(",", " ").split())
 
 
+def _repeated(values: tuple) -> str:
+    """The values listed more than once, comma-separated; empty when none is."""
+    return ", ".join(map(str, sorted({v for v in values if values.count(v) > 1})))
+
+
+def _id_set(raw: str) -> frozenset[int]:
+    ids = _int_list(raw)
+    # the set would drop a repeat without a word
+    if _repeated(ids):
+        raise ValueError(f"lists {_repeated(ids)} more than once")
+    return frozenset(ids)
+
+
 # A key's parser, by the type of its field's default; other types parse themselves.
-_PARSERS = {type(None): str, bool: _bool, tuple: _int_list, frozenset: lambda raw: frozenset(_int_list(raw))}
+_PARSERS = {type(None): str, bool: _bool, tuple: _int_list, frozenset: _id_set}
 
 
 def _from_section(parser, section: str):
@@ -168,10 +182,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("[experiment] seeds must list at least one seed")
     # A repeat would run the same pair twice and write its summary row twice.
     for key, values in (("variants", variants), ("seeds", seeds)):
-        repeated = sorted({v for v in values if values.count(v) > 1})
-        if repeated:
-            listed = ", ".join(map(str, repeated))
-            raise ConfigError(f"[experiment] {key} lists {listed} more than once")
+        if _repeated(values):
+            raise ConfigError(f"[experiment] {key} lists {_repeated(values)} more than once")
     _check_seeds(seeds, "[experiment] seeds")
 
     try:
@@ -301,17 +313,18 @@ def run_experiment(config_path: str, output_dir: str | None = None,
     diag_cols = ((COSINE_COLUMNS if cfg.diagnostics.cosine_stats else ())
                  + (DIVERGENCE_COLUMNS if cfg.diagnostics.divergence else ()))
 
-    results: list[RunResult] = []
-    setups: dict[int, ExperimentSetup] = {}
-    current = ("data setup", -1)
+    setup_args = (cfg.data, cfg.model_kind, cfg.hidden_dims, cfg.hyper)
+    summaries: dict[tuple[str, int], dict] = {}
+    diag_rows: dict[tuple[str, int], dict] = {}
+    current, started = ("data setup", seeds[0]), False
     try:
-        # A ValueError while building a seed's world means the config cannot
-        # be met for that seed; past this point a ValueError is a fault.
-        for seed in seeds:
+        # A ValueError in the first seed's world, or in a later seed's
+        # label-level draws, means the config cannot be met; once the output
+        # directory is touched a ValueError is a fault.
+        setup = build_setup(*setup_args, seeds[0], cfg.init_mode)
+        for seed in seeds[1:]:
             current = ("data setup", seed)
-            setups[seed] = build_setup(
-                cfg.data, cfg.model_kind, cfg.hidden_dims, cfg.hyper, seed, cfg.init_mode
-            )
+            draw_labels(*setup_args, seed, cfg.init_mode)
         try:
             runs_dir.mkdir(parents=True, exist_ok=True)
             # Files of an earlier run would sit beside this run's as if its own.
@@ -323,39 +336,52 @@ def run_experiment(config_path: str, output_dir: str | None = None,
                     path.unlink()
         except OSError as exc:
             raise ConfigError(f"output directory {out} is unusable: {exc}") from exc
-        for variant in cfg.variants:
-            for seed in seeds:
+        started = True
+        # One seed's world and one pair's result in memory at a time: a pair
+        # keeps only its table rows, and a seed's world is dropped before the
+        # next one is built.
+        for seed in seeds:
+            if setup is None:
+                current = ("data setup", seed)
+                setup = build_setup(*setup_args, seed, cfg.init_mode)
+            stats = {}
+            for variant in cfg.variants:
                 current = (variant, seed)
                 result = run_variant(
-                    variant, setups[seed], cfg.hyper,
+                    variant, setup, cfg.hyper,
                     attack=cfg.attack, verification=cfg.verification,
                     diag=cfg.diagnostics,
                 )
                 write_run_csv(runs_dir / f"{variant}_{seed}.csv", result.records, diag_cols)
-                results.append(result)
+                summaries[variant, seed] = summarize(result)
+                if result.cosine_stats is not None:
+                    stats[variant] = result.cosine_stats
                 print(f"ran {variant} seed {seed}: "
                       f"final accuracy {result.records[-1].test_accuracy:.4f}")
+                del result
+            if stats:
+                current = ("diagnostics", seed)
+                per_seed = _seed_diagnostics(cfg, setup)
+                for variant, run_stats in stats.items():
+                    diag_rows[variant, seed] = analysis.diagnostics_row(
+                        variant, seed, cfg.hyper, run_stats, *per_seed
+                    )
+            setup = None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        infeasible = (current[0] == "data setup" and isinstance(exc, ValueError)
+        infeasible = (not started and isinstance(exc, ValueError)
                       and not isinstance(exc, NonFiniteError))
         kind, code = ("config error", 2) if infeasible else ("runtime error", 3)
         print(f"{kind} in {current[0]} seed {current[1]}: {exc}", file=sys.stderr)
         return code
 
-    _write_table(out / "summary.csv", SUMMARY_COLUMNS, [summarize(r) for r in results])
-
+    # the tables keep config order: variants outer, seeds inner
+    pairs = [(variant, seed) for variant in cfg.variants for seed in seeds]
+    _write_table(out / "summary.csv", SUMMARY_COLUMNS, [summaries[pair] for pair in pairs])
     if cfg.diagnostics.cosine_stats:
-        diagnosed = [r for r in results if r.cosine_stats is not None]
-        per_seed = {
-            seed: _seed_diagnostics(cfg, setups[seed]) for seed in {r.seed for r in diagnosed}
-        }
-        rows = [
-            analysis.diagnostics_row(r.variant, r.seed, cfg.hyper, r.cosine_stats, *per_seed[r.seed])
-            for r in diagnosed
-        ]
+        rows = [diag_rows[pair] for pair in pairs if pair in diag_rows]
         _write_table(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS, rows)
 
     print(f"wrote {out / 'summary.csv'}")

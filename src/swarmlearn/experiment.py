@@ -127,19 +127,22 @@ def _digest_array(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()
 
 
-def build_setup(
+def draw_labels(
     cfg: DataConfig,
     spec_kind: str,
     hidden_dims: tuple[int, ...],
     h: HyperParameters,
     seed: int,
     init_mode: str = "shared",
-) -> ExperimentSetup:
-    """Build the per-seed world every variant shares."""
-    ModelConfig(spec_kind, tuple(hidden_dims), init_mode)
+) -> tuple[datamod.LabelSet, datamod.PartitionPlan, np.ndarray, np.ndarray, np.ndarray]:
+    """The label-level first step of ``build_setup``: the model check, the
+    labels, the partition, the shared sets and a carved test split. These are
+    the draws that can make one seed infeasible; no feature row is built.
 
-    # Labels first: the partition, the shared sets and a carved test split
-    # are drawn from them, then only the rows some consumer reads are built.
+    Returns the label set, the partition plan, and the shared training,
+    shared scoring and carved test rows, in original row numbers (the carved
+    rows are empty unless a test split is carved)."""
+    ModelConfig(spec_kind, tuple(hidden_dims), init_mode)
     if cfg.source == "synthetic":
         labels = datamod.blob_labels(cfg.classes, cfg.per_class)
     else:
@@ -162,13 +165,29 @@ def build_setup(
             world, cfg.global_train, cfg.global_score, plan,
             derived_rng(seed, DOMAIN_ORCHESTRATOR, 2),
         )
-    carve_test = cfg.source == "idx" and cfg.idx_test_images is None
-    if carve_test:
+    if cfg.source == "idx" and cfg.idx_test_images is None:
         test_idx = datamod.stratified_sample(
             world, cfg.test_per_class * cfg.classes,
             np.concatenate([plan.all_indices(), train_idx, score_idx]),
             derived_rng(seed, DOMAIN_ORCHESTRATOR, 3),
         )
+    return world, plan, train_idx, score_idx, test_idx
+
+
+def build_setup(
+    cfg: DataConfig,
+    spec_kind: str,
+    hidden_dims: tuple[int, ...],
+    h: HyperParameters,
+    seed: int,
+    init_mode: str = "shared",
+) -> ExperimentSetup:
+    """Build the per-seed world every variant shares."""
+    # Labels first: the partition, the shared sets and a carved test split
+    # are drawn from them, then only the rows some consumer reads are built.
+    world, plan, train_idx, score_idx, test_idx = draw_labels(
+        cfg, spec_kind, hidden_dims, h, seed, init_mode
+    )
 
     # one buffer: the stored worker and shared-train rows in original row
     # order, then the scoring rows, then a carved test split
@@ -196,7 +215,7 @@ def build_setup(
             cfg.classes, cfg.test_per_class, cfg.dim, cfg.separation,
             derived_rng(seed, DOMAIN_ORCHESTRATOR, 3),
         )
-    elif carve_test:
+    elif cfg.idx_test_images is None:
         test_ds = carved
     else:
         test_ds = datamod.load_idx(cfg.idx_test_images, cfg.idx_test_labels, cfg.classes)

@@ -434,6 +434,77 @@ class TestDiagnosticsTable:
             assert float(row["bound"]) == float(row["f0"]) / (20 * float(row["phi_e"]))
 
 
+class TestSeedBySeed:
+    def test_one_seed_world_is_alive_at_a_time(self, tmp_path, monkeypatch):
+        import gc
+        import weakref
+
+        import swarmlearn.cli as cli_mod
+
+        build, run = cli_mod.build_setup, cli_mod.run_variant
+        built, alive_at_build, alive_at_run = [], [], []
+
+        def alive():
+            gc.collect()
+            return sum(ref() is not None for ref in built)
+
+        def recording_build(*args, **kwargs):
+            alive_at_build.append(alive())
+            setup = build(*args, **kwargs)
+            built.append(weakref.ref(setup))
+            return setup
+
+        def recording_run(variant, setup, *args, **kwargs):
+            alive_at_run.append((variant, setup.seed, alive(), len(built)))
+            return run(variant, setup, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "build_setup", recording_build)
+        monkeypatch.setattr(cli_mod, "run_variant", recording_run)
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace("seeds = 1, 2", "seeds = 1, 2, 3")
+        assert run_experiment(str(write_config(tmp_path, text))) == 0
+        # the last world is gone before the next one is built
+        assert alive_at_build == [0, 0, 0]
+        # (variant, seed, worlds alive, worlds built so far), in run order
+        assert alive_at_run == [
+            (variant, seed, 1, built_so_far)
+            for built_so_far, seed in enumerate((1, 2, 3), start=1)
+            for variant in ("fedavg", "cbdsl_full")
+        ]
+
+    def test_a_pairs_outputs_do_not_depend_on_the_other_seeds(self, tmp_path):
+        # the shape of perfbench's audit workload at 6 rounds
+        sections = {
+            "hyper": {"rounds": "6"},
+            "attack": {"strategy": "fake_loss_garbage", "attackers": "0, 3"},
+            "diagnostics": {"divergence": "on", "lipschitz_probes": "16"},
+        }
+        both = desk_config(tmp_path, "both", experiment={
+            "variants": "cbdsl_gsc, cbdsl_full", "seeds": "7, 8"}, **sections)
+        alone = desk_config(tmp_path, "alone", experiment={
+            "variants": "cbdsl_full", "seeds": "8"}, **sections)
+        assert run_experiment(str(both)) == 0
+        assert run_experiment(str(alone)) == 0
+
+        with open(tmp_path / "both" / "diagnostics.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["variant"], r["seed"]) for r in rows] == [
+            ("cbdsl_gsc", "7"), ("cbdsl_gsc", "8"), ("cbdsl_full", "7"), ("cbdsl_full", "8"),
+        ]
+        assert all(np.isfinite(float(r["lipschitz"])) for r in rows)
+        with open(tmp_path / "both" / "summary.csv", newline="") as f:
+            assert [r["total_detections"] for r in csv.DictReader(f)] == ["2"] * 4
+
+        run_csv = Path("runs") / "cbdsl_full_8.csv"
+        assert (tmp_path / "both" / run_csv).read_bytes() == (tmp_path / "alone" / run_csv).read_bytes()
+        diag_lines = {
+            name: [line for line in (tmp_path / name / "diagnostics.csv").read_text().splitlines()
+                   if line.startswith("cbdsl_full,8,")]
+            for name in ("both", "alone")
+        }
+        assert len(diag_lines["alone"]) == 1
+        assert diag_lines["both"] == diag_lines["alone"]
+
+
 class TestOutputDirectory:
     def test_a_regular_file_is_a_config_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"

@@ -240,6 +240,37 @@ def test_infeasible_seed_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_later_infeasible_seed_leaves_nothing_behind(tmp_path, monkeypatch, capsys):
+    import swarmlearn.data as data_mod
+
+    shards, calls, ran = data_mod.partition_shards, [], []
+
+    def second_call_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("too few held-out samples of class 3")
+        return shards(*args)
+
+    monkeypatch.setattr(data_mod, "partition_shards", second_call_fails)
+    monkeypatch.setattr(cli_mod, "run_variant", lambda *args, **kwargs: ran.append(args))
+    assert run_experiment(str(write_config(tmp_path))) == 2
+    assert "config error in data setup seed 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not ran
+
+
+def test_a_repeated_attacker_is_a_config_error(tmp_path, capsys):
+    # used to run (exit 0) against attackers {0, 3}, the repeat dropped
+    text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+        "variants = fedavg, cbdsl_full", "variants = cbdsl_full"
+    ).replace("rounds = 5", "rounds = 3") + (
+        "[attack]\nstrategy = fake_loss_garbage\nattackers = 0, 0, 3\n"
+    )
+    assert run_experiment(str(write_config(tmp_path, text))) == 2
+    assert capsys.readouterr().err == "config error: [attack] attackers: lists 0 more than once\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_value_error_while_running_is_a_runtime_error(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("operands could not be broadcast together")
