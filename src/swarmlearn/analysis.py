@@ -84,7 +84,6 @@ class CosineStats:
         self.u = _Extrema()
         self.up = _Extrema()
         self.ug = _Extrema()
-        self.samples = 0
         self.zero_velocity = 0
         self.zero_grad = 0
         self.grad_sq_sum = 0.0
@@ -120,7 +119,6 @@ class CosineStats:
         # Zero-gradient samples carry no direction; zero-velocity ones no angle.
         sampled = infos.grad_sq != 0.0
         n_sampled = int(np.count_nonzero(sampled))
-        self.samples += n_sampled
         self.zero_grad += len(infos.ids) - n_sampled
         gnorm, neg_grad = row_norms(grad), -grad
         row = dict.fromkeys(COSINE_COLUMNS, math.nan)   # nan where a round has no samples

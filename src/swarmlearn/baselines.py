@@ -106,8 +106,6 @@ class RunResult:
     seed: int
     records: list[RoundRecord]
     cosine_stats: analysis.CosineStats | None
-    partition_digest: str
-    init_digest: str
 
 
 def fedavg_round(crew: Crew, w: np.ndarray, h: HyperParameters, spec, t: int):
@@ -180,9 +178,7 @@ def run_variant(
                 diag=diag_row,
             )
         )
-    return RunResult(
-        row.name, setup.seed, records, stats, setup.partition_digest, setup.init_digest
-    )
+    return RunResult(row.name, setup.seed, records, stats)
 
 
 def _swarm_rounds(row: Variant, setup, h, attack, verification, collect_vectors):

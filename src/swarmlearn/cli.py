@@ -260,7 +260,7 @@ def write_run_csv(path: Path, records: list[RoundRecord], diag_cols: tuple[str, 
     _write_table(path, BASE_COLUMNS + diag_cols, rows)
 
 
-def summarize(result: RunResult) -> dict:
+def summarize(result: RunResult, setup: ExperimentSetup) -> dict:
     records = result.records
     last = records[-1]
     return {
@@ -273,8 +273,8 @@ def summarize(result: RunResult) -> dict:
         "total_vector_uplinks": sum(r.vector_uplinks for r in records),
         "total_vector_broadcasts": sum(r.vector_broadcasts for r in records),
         "total_detections": sum(r.detections for r in records),
-        "partition_digest": result.partition_digest,
-        "init_digest": result.init_digest,
+        "partition_digest": setup.partition_digest,
+        "init_digest": setup.init_digest,
     }
 
 
@@ -318,13 +318,14 @@ def run_experiment(config_path: str, output_dir: str | None = None,
     diag_rows: dict[tuple[str, int], dict] = {}
     current, started = ("data setup", seeds[0]), False
     try:
-        # A ValueError in the first seed's world, or in a later seed's
-        # label-level draws, means the config cannot be met; once the output
-        # directory is touched a ValueError is a fault.
+        # A ValueError or an unreadable input file in the first seed's world
+        # or a later seed's label-level draws (kept for its world) means the
+        # config cannot be met; once the output directory is touched it is a fault.
         setup = build_setup(*setup_args, seeds[0], cfg.init_mode)
+        draws = {}
         for seed in seeds[1:]:
             current = ("data setup", seed)
-            draw_labels(*setup_args, seed, cfg.init_mode)
+            draws[seed] = draw_labels(*setup_args, seed, cfg.init_mode)
         try:
             runs_dir.mkdir(parents=True, exist_ok=True)
             # Files of an earlier run would sit beside this run's as if its own.
@@ -343,7 +344,7 @@ def run_experiment(config_path: str, output_dir: str | None = None,
         for seed in seeds:
             if setup is None:
                 current = ("data setup", seed)
-                setup = build_setup(*setup_args, seed, cfg.init_mode)
+                setup = build_setup(*setup_args, seed, cfg.init_mode, draws=draws.pop(seed))
             stats = {}
             for variant in cfg.variants:
                 current = (variant, seed)
@@ -353,7 +354,7 @@ def run_experiment(config_path: str, output_dir: str | None = None,
                     diag=cfg.diagnostics,
                 )
                 write_run_csv(runs_dir / f"{variant}_{seed}.csv", result.records, diag_cols)
-                summaries[variant, seed] = summarize(result)
+                summaries[variant, seed] = summarize(result, setup)
                 if result.cosine_stats is not None:
                     stats[variant] = result.cosine_stats
                 print(f"ran {variant} seed {seed}: "
@@ -371,7 +372,7 @@ def run_experiment(config_path: str, output_dir: str | None = None,
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        infeasible = (not started and isinstance(exc, ValueError)
+        infeasible = (not started and isinstance(exc, (ValueError, OSError))
                       and not isinstance(exc, NonFiniteError))
         kind, code = ("config error", 2) if infeasible else ("runtime error", 3)
         print(f"{kind} in {current[0]} seed {current[1]}: {exc}", file=sys.stderr)

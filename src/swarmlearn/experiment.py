@@ -19,7 +19,6 @@ from .core import (
     DOMAIN_ORCHESTRATOR,
     HyperParameters,
     derived_rng,
-    worker_stream,
 )
 from .model import Batch, ModelSpec, init_params, loss, param_count
 from .swarm import WorkerState
@@ -181,13 +180,17 @@ def build_setup(
     h: HyperParameters,
     seed: int,
     init_mode: str = "shared",
+    *,
+    draws: tuple | None = None,
 ) -> ExperimentSetup:
-    """Build the per-seed world every variant shares."""
+    """Build the per-seed world every variant shares. ``draws`` are this
+    seed's ``draw_labels`` of the same arguments, taken earlier; without
+    them they are drawn here."""
     # Labels first: the partition, the shared sets and a carved test split
     # are drawn from them, then only the rows some consumer reads are built.
-    world, plan, train_idx, score_idx, test_idx = draw_labels(
-        cfg, spec_kind, hidden_dims, h, seed, init_mode
-    )
+    if draws is None:
+        draws = draw_labels(cfg, spec_kind, hidden_dims, h, seed, init_mode)
+    world, plan, train_idx, score_idx, test_idx = draws
 
     # one buffer: the stored worker and shared-train rows in original row
     # order, then the scoring rows, then a carved test split
@@ -296,7 +299,7 @@ def make_workers(
             train_features=features,
             train_labels=labels,
             score_set=sets[i],
-            stream=worker_stream(seed=setup.seed, worker_id=i),
+            seed=setup.seed,
         )
         for i, (w0, (features, labels)) in enumerate(zip(starts, pools))
     ]

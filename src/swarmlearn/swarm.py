@@ -28,12 +28,10 @@ from . import attacks
 from .core import (
     HyperParameters,
     NonFiniteError,
-    RngStream,
     attack_stream,
     draw_batch_indices,  # noqa: F401  bound here only for perfbench's span hook
     draw_table,
     inertia_schedule,
-    worker_stream,
 )
 from .data import Rows
 from .model import Batch, ModelSpec, Workspace, loss, loss_and_gradient, row_dots
@@ -54,7 +52,7 @@ class WorkerState:
     train_features: Rows
     train_labels: Rows
     score_set: Batch | None
-    stream: RngStream
+    seed: int                    # the run's seed, which keys the worker's streams
     is_byzantine: bool = False   # forges its report and upload with the round's attack
 
 
@@ -122,7 +120,7 @@ class Crew:
     """What a run's workers keep from round to round, in worker-id order.
 
     ``states`` are the worker states the population was built from (pools,
-    streams and scoring sets). ``rows`` is the run's batches as store rows:
+    seed and scoring sets). ``rows`` is the run's batches as store rows:
     ``rows[t, u]`` are the rows of ``features`` and ``labels``, the training
     set every pool indexes, that worker u trains on in round t, a (T, U, B)
     table drawn once. ``c1`` and ``c2`` are the (T, U) swarm weights drawn
@@ -145,17 +143,17 @@ class Crew:
 
     @classmethod
     def of(cls, states, h: HyperParameters) -> Crew:
-        """The crew of ``states`` in the order given, with their streams'
-        draws for ``h.rounds`` rounds, the batch positions as store rows.
-        Workers with a scoreboard draw swarm weights; FedAvg workers (no
-        scoring set) draw only batches. ValueError unless the workers'
-        streams are the worker streams of one seed, their pools
-        equal-length Rows of one training set and their scoring sets one
-        set, the rows of one stack in the order given, or none."""
+        """The crew of ``states`` in the order given, with the draws of
+        their worker streams (keyed by the run's seed and each worker id) for
+        ``h.rounds`` rounds, the batch positions as store rows. Workers with
+        a scoreboard draw swarm weights; FedAvg workers (no scoring set) draw
+        only batches. ValueError unless the workers are of one seed, their
+        pools equal-length Rows of one training set and their scoring sets
+        one set, the rows of one stack in the order given, or none."""
         states = tuple(states)
-        seed = states[0].stream.seed
-        if any(s.stream != worker_stream(seed, s.worker_id) for s in states):
-            raise ValueError("worker streams are not the worker streams of one seed")
+        seed = states[0].seed
+        if any(s.seed != seed for s in states):
+            raise ValueError("workers are not of one seed")
         features = [s.train_features for s in states]
         labels = [s.train_labels for s in states]
         if not all(isinstance(f, Rows) and f.base is features[0].base
@@ -382,7 +380,7 @@ def verify_upload(
 def _upload_for(pop: Population, u: int, wiring: ProtocolWiring, t: int) -> np.ndarray:
     crew = pop.crew
     if crew.byzantine[u]:
-        rng = attack_stream(crew.states[u].stream.seed, crew.ids[u]).round(t)
+        rng = attack_stream(crew.states[u].seed, crew.ids[u]).round(t)
         return attacks.forge_upload(pop.w_p[u], wiring.attack.strategy, wiring.attack.scale, rng)
     return pop.w_p[u].copy()
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from swarmlearn.core import HyperParameters, worker_stream
+from swarmlearn.core import HyperParameters
 from swarmlearn.data import Rows, synthetic_blobs
 from swarmlearn.model import Batch, ModelSpec, init_params
 from swarmlearn.swarm import WorkerState
@@ -49,8 +49,8 @@ def fit_softmax(spec, batch, steps=400, lr=0.5):
 
 def hand_workers(seed, features, labels, pools, **fields):
     """Workers built by hand the way a run builds them: worker k's pool is
-    the ``Rows`` of ``features``/``labels`` at ``pools[k]`` and its stream is
-    that seed's worker stream. ``fields`` gives other ``WorkerState`` fields
+    the ``Rows`` of ``features``/``labels`` at ``pools[k]`` and its seed is
+    ``seed``. ``fields`` gives other ``WorkerState`` fields
     as one value per worker; the rest are those of a FedAvg worker (no model,
     no scoring set, a best score of inf)."""
     workers = []
@@ -59,6 +59,6 @@ def hand_workers(seed, features, labels, pools, **fields):
         given.update({name: values[k] for name, values in fields.items()})
         workers.append(WorkerState(
             worker_id=k, train_features=Rows(features, pool), train_labels=Rows(labels, pool),
-            stream=worker_stream(seed, k), **given,
+            seed=seed, **given,
         ))
     return workers

@@ -15,6 +15,7 @@ import numpy as np
 
 from swarmlearn import attacks
 from swarmlearn.core import attack_stream, inertia_schedule, require_finite, stream_draws
+from swarmlearn.core import worker_stream
 from swarmlearn.model import Batch, loss, loss_and_gradient
 from swarmlearn.swarm import (
     PsState,
@@ -75,7 +76,8 @@ def hybrid_update(w, v, w_p, w_g, c0, c1, c2, alpha, grad):
 
 def worker_step(state, w_g, h, spec, t, collect_vectors=False):
     c0 = inertia_schedule(h, t)
-    c1, c2, idx = stream_draws(state.stream, t, len(state.train_labels), h)
+    stream = worker_stream(state.seed, state.worker_id)
+    c1, c2, idx = stream_draws(stream, t, len(state.train_labels), h)
     batch = Batch(state.train_features[idx], state.train_labels[idx])
     batch_loss, grad = loss_and_gradient(spec, state.w, batch)
 
@@ -104,7 +106,7 @@ def score_and_update_best(state, spec):
 
 def _upload_for(state, wiring, t):
     if state.is_byzantine and wiring.attack.active:
-        rng = attack_stream(state.stream.seed, state.worker_id).round(t)
+        rng = attack_stream(state.seed, state.worker_id).round(t)
         return attacks.forge_upload(state.w_p, wiring.attack.strategy, wiring.attack.scale, rng)
     return state.w_p.copy()
 

@@ -92,7 +92,6 @@ class OracleCosineStats(analysis.CosineStats):
             if info.grad_sq == 0.0:
                 self.zero_grad += 1
                 continue
-            self.samples += 1
             for vec, ext_q, ext_u, cos_key, ratio_key in (
                 (info.v_pre, self.q, self.u, "cos", "ratio"),
                 (v_p, self.qp, self.up, "cos_p", "ratio_p"),
@@ -177,7 +176,7 @@ def stats_state(stats):
     extrema = [(e.lo, e.hi, e.count) for e in (stats.q, stats.qp, stats.qg,
                                                 stats.u, stats.up, stats.ug)]
     return [v for triple in extrema for v in triple] + [
-        stats.samples, stats.zero_velocity, stats.zero_grad,
+        stats.zero_velocity, stats.zero_grad,
         stats.grad_sq_sum, stats.grad_sq_count, stats.grad_sq_min,
     ]
 
@@ -243,13 +242,13 @@ class TestCosineStep:
 
     def test_zero_velocity_flagged(self):
         stats, row = one_step_round(np.zeros(2), np.array([1.0, 0.0]))
-        assert stats.samples == 1 and stats.zero_velocity == 3
+        assert stats.grad_sq_count - stats.zero_grad == 1 and stats.zero_velocity == 3
         assert math.isnan(row["cos_min"]) and math.isnan(row["ratio_min"])
         assert stats.q.count == 0
 
     def test_zero_gradient_skipped(self):
         stats, row = one_step_round(np.ones(2), np.zeros(2))
-        assert stats.samples == 0 and stats.zero_grad == 1
+        assert stats.grad_sq_count - stats.zero_grad == 0 and stats.zero_grad == 1
         assert math.isnan(row["cos_min"]) and math.isnan(row["ratio_min"])
 
 

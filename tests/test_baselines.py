@@ -190,15 +190,6 @@ class TestPso:
 
 
 class TestRunVariant:
-    def test_identical_world_across_variants(self):
-        setup, h = small_setup(seed=5)
-        results = {
-            v: run_variant(v, setup, h)
-            for v in ("fedavg", "fedavg_gtr", "cbdsl_plain", "cbdsl_gsc", "cbdsl_full")
-        }
-        digests = {(r.partition_digest, r.init_digest) for r in results.values()}
-        assert len(digests) == 1
-
     @pytest.mark.parametrize("variant", ["cbdsl_full", "fedavg"])
     def test_accuracy_is_taken_once_per_new_model(self, monkeypatch, variant):
         # a swarm round without a broadcast tests the same global best again
@@ -409,7 +400,7 @@ class TestRunVariant:
             "cbdsl_full", setup, h, diag=DiagnosticsFlags(cosine_stats=True)
         )
         assert result.cosine_stats is not None
-        assert result.cosine_stats.samples > 0
+        assert result.cosine_stats.grad_sq_count > result.cosine_stats.zero_grad
         for r in result.records:
             assert tuple(r.diag) == COSINE_COLUMNS
 

@@ -471,6 +471,22 @@ class TestSeedBySeed:
             for variant in ("fedavg", "cbdsl_full")
         ]
 
+    def test_each_seeds_partition_is_drawn_once(self, tmp_path, monkeypatch):
+        import swarmlearn.data as data_mod
+
+        shards, calls = data_mod.partition_shards, []
+
+        def recording_shards(*args):
+            calls.append(args)
+            return shards(*args)
+
+        monkeypatch.setattr(data_mod, "partition_shards", recording_shards)
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace("seeds = 1, 2", "seeds = 1, 2, 3")
+        assert run_experiment(str(write_config(tmp_path, text))) == 0
+        # a later seed's draws, taken before the output directory is touched,
+        # build its world: they are not drawn again
+        assert len(calls) == 3
+
     def test_a_pairs_outputs_do_not_depend_on_the_other_seeds(self, tmp_path):
         # the shape of perfbench's audit workload at 6 rounds
         sections = {
@@ -478,31 +494,37 @@ class TestSeedBySeed:
             "attack": {"strategy": "fake_loss_garbage", "attackers": "0, 3"},
             "diagnostics": {"divergence": "on", "lipschitz_probes": "16"},
         }
-        both = desk_config(tmp_path, "both", experiment={
-            "variants": "cbdsl_gsc, cbdsl_full", "seeds": "7, 8"}, **sections)
-        alone = desk_config(tmp_path, "alone", experiment={
-            "variants": "cbdsl_full", "seeds": "8"}, **sections)
-        assert run_experiment(str(both)) == 0
-        assert run_experiment(str(alone)) == 0
+        variants, later = ("cbdsl_gsc", "cbdsl_full"), ("8", "9")
+        full = desk_config(tmp_path, "full", experiment={
+            "variants": ", ".join(variants), "seeds": "7, 8, 9"}, **sections)
+        assert run_experiment(str(full)) == 0
 
-        with open(tmp_path / "both" / "diagnostics.csv", newline="") as f:
+        with open(tmp_path / "full" / "diagnostics.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert [(r["variant"], r["seed"]) for r in rows] == [
-            ("cbdsl_gsc", "7"), ("cbdsl_gsc", "8"), ("cbdsl_full", "7"), ("cbdsl_full", "8"),
+            (variant, seed) for variant in variants for seed in ("7", "8", "9")
         ]
         assert all(np.isfinite(float(r["lipschitz"])) for r in rows)
-        with open(tmp_path / "both" / "summary.csv", newline="") as f:
-            assert [r["total_detections"] for r in csv.DictReader(f)] == ["2"] * 4
+        with open(tmp_path / "full" / "summary.csv", newline="") as f:
+            assert [r["total_detections"] for r in csv.DictReader(f)] == ["2"] * 6
 
-        run_csv = Path("runs") / "cbdsl_full_8.csv"
-        assert (tmp_path / "both" / run_csv).read_bytes() == (tmp_path / "alone" / run_csv).read_bytes()
-        diag_lines = {
-            name: [line for line in (tmp_path / name / "diagnostics.csv").read_text().splitlines()
-                   if line.startswith("cbdsl_full,8,")]
-            for name in ("both", "alone")
-        }
-        assert len(diag_lines["alone"]) == 1
-        assert diag_lines["both"] == diag_lines["alone"]
+        # every pair of a later seed, run alone, writes the full run's bytes
+        for variant in variants:
+            for seed in later:
+                name = f"{variant}_{seed}"
+                alone = desk_config(tmp_path, name, experiment={
+                    "variants": variant, "seeds": seed}, **sections)
+                assert run_experiment(str(alone)) == 0
+                run_csv = Path("runs") / f"{name}.csv"
+                assert ((tmp_path / name / run_csv).read_bytes()
+                        == (tmp_path / "full" / run_csv).read_bytes())
+                diag_lines = {
+                    out: [line for line in (tmp_path / out / "diagnostics.csv").read_text()
+                          .splitlines() if line.startswith(f"{variant},{seed},")]
+                    for out in ("full", name)
+                }
+                assert len(diag_lines[name]) == 1
+                assert diag_lines["full"] == diag_lines[name]
 
 
 class TestOutputDirectory:

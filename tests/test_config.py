@@ -1,6 +1,8 @@
 """Config schema, the variant table and exit-code classification."""
 import dataclasses
 
+import numpy as np
+
 import pytest
 
 import swarmlearn.cli as cli_mod
@@ -10,7 +12,8 @@ from swarmlearn.cli import load_config, run_experiment
 from swarmlearn.core import HyperParameters
 from swarmlearn.experiment import DataConfig, ModelConfig
 
-from test_cli import BASE_CONFIG, write_config
+from test_cli import BASE_CONFIG, IDX_CONFIG, write_config
+from test_data import write_idx_images, write_idx_labels
 
 
 def test_section_keys_are_pinned():
@@ -278,3 +281,42 @@ def test_value_error_while_running_is_a_runtime_error(tmp_path, monkeypatch, cap
     monkeypatch.setattr(cli_mod, "run_variant", broken)
     assert run_experiment(str(write_config(tmp_path))) == 3
     assert "runtime error in fedavg seed 1" in capsys.readouterr().err
+
+
+def idx_files(tmp_path):
+    """A 200-row IDX image/label pair of 4 classes under ``tmp_path``."""
+    rng = np.random.default_rng(0)
+    paths = {"images": tmp_path / "images.idx", "labels": tmp_path / "labels.idx"}
+    write_idx_images(paths["images"], rng.integers(0, 256, size=(200, 3, 3), dtype=np.uint8))
+    write_idx_labels(paths["labels"], rng.integers(0, 4, size=200).tolist())
+    return paths
+
+
+@pytest.mark.parametrize("which", ["images", "labels"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_an_unreadable_input_file_is_a_config_error(tmp_path, capsys, which, kind):
+    # each used to exit 3 as a runtime error, though nothing had run
+    paths = idx_files(tmp_path)
+    paths[which] = tmp_path / f"{which}-{kind}"
+    if kind == "directory":
+        paths[which].mkdir()
+    config = write_config(tmp_path, IDX_CONFIG.format(**paths))
+    assert run_experiment(str(config), output_dir=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error in data setup seed 1: ") and str(paths[which]) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_input_file_lost_while_running_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+    paths = idx_files(tmp_path)
+    config = write_config(tmp_path, IDX_CONFIG.format(**paths).replace("seeds = 1", "seeds = 1, 2"))
+    run = cli_mod.run_variant
+
+    def run_then_lose_images(*args, **kwargs):
+        result = run(*args, **kwargs)
+        paths["images"].unlink()
+        return result
+
+    monkeypatch.setattr(cli_mod, "run_variant", run_then_lose_images)
+    assert run_experiment(str(config), output_dir=str(tmp_path / "out")) == 3
+    assert "runtime error in data setup seed 2: " in capsys.readouterr().err

@@ -3,9 +3,10 @@ package is used in its module, re-exported through ``__all__``, or marked
 ``# noqa: F401`` on its own line (a binding kept for perfbench's span hooks);
 and every top-level function and class is referenced somewhere in the
 package outside its own definition, or listed in an ``__all__``; every
-dataclass field is read by the package's own code, as a field of the class
-that declares it, while short runs cover every variant, attack and
-diagnostic; and the README's config reference names every INI key."""
+attribute a package class assigns on ``self`` is read somewhere in the
+package; every dataclass field is read by the package's own code, as a field
+of the class that declares it, while short runs cover every variant, attack
+and diagnostic; and the README's config reference names every INI key."""
 import ast
 import dataclasses
 import importlib
@@ -137,6 +138,45 @@ def test_an_unreferenced_definition_is_found():
         ),
     }
     assert unreferenced_definitions(sources) == ["a.loop", "b.imported_only"]
+
+
+def unread_attributes(sources: dict[str, str]) -> list[str]:
+    """``module.Class.name`` of every attribute that a method of a top-level
+    class in ``sources`` assigns on ``self`` and no attribute load in any of
+    them reads, matched by name. An augmented assignment is no read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            assigned = {node.attr for node in ast.walk(cls)
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"}
+            unread += [f"{module}.{cls.name}.{name}" for name in sorted(assigned - loaded)]
+    return unread
+
+
+def test_every_instance_attribute_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_attributes(sources) == []
+
+
+def test_an_unread_instance_attribute_is_found():
+    sources = {
+        "a": (
+            "class Tally:\n"
+            "    def __init__(self):\n"
+            "        self.total = 0\n"
+            "        self.kept, self.dropped = [], []\n"
+            "        self.written = 0\n"
+            "    def add(self, x):\n"
+            "        self.written += x\n"
+            "        self.kept.append(x)\n"
+        ),
+        "b": "def total(tally):\n    return tally.total\n",
+    }
+    assert unread_attributes(sources) == ["a.Tally.dropped", "a.Tally.written"]
 
 
 def field_owner(cls: type, name: str) -> type:

@@ -359,14 +359,14 @@ class TestCrew:
     @pytest.mark.parametrize("case, cause", [
         ("unequal_pools", "pools differ in length"),
         ("array_pool", "pools are not Rows of one training set"),
-        ("foreign_stream", "not the worker streams of one seed"),
+        ("foreign_seed", "workers are not of one seed"),
         ("unequal_scoring", "scoring sets differ in length"),
         ("missing_scoring", "some have none"),
         ("separate_scoring", "not the rows of one stack"),
         ("unordered_scoring", "not the rows of one stack"),
     ])
     def test_workers_without_one_layout_are_rejected(self, case, cause):
-        # a run's workers carry the worker streams of one seed, equal-length
+        # a run's workers are of one seed and carry equal-length
         # pools of one training set and one scoring length; hand-built
         # workers that do not are refused, not run down a slower path
         setup, h, workers, _ = swarm_world(seed=9)
@@ -377,8 +377,8 @@ class TestCrew:
             pool = workers[1].train_labels.index
             workers[1] = replace(workers[1], train_features=features[pool],
                                  train_labels=Rows(labels, pool))
-        elif case == "foreign_stream":
-            workers[1] = replace(workers[1], stream=worker_stream(10, 1))
+        elif case == "foreign_seed":
+            workers[1] = replace(workers[1], seed=10)
         elif case == "unequal_scoring":
             workers = [replace(w, score_set=Batch(features[:20 + k], labels[:20 + k]))
                        for k, w in enumerate(workers)]
