@@ -16,7 +16,7 @@ from .attacks import AttackSpec
 from .core import HyperParameters, inertia_schedule, require_finite
 from .data import emd
 from .model import Batch, ModelSpec, gradient, param_count, row_dots, row_norms
-from .swarm import Population, ProtocolWiring, PsState, StepInfos, run_round
+from .swarm import Population, ProtocolWiring, PsState, StepInfos, row_runs, run_round
 
 # Columns of the tables built here. A round's row carries COSINE_COLUMNS with
 # cosine_stats on and DIVERGENCE_COLUMNS with divergence on, in this order;
@@ -94,49 +94,59 @@ class CosineStats:
         """Fold one round of step logs in; returns the round's diagnostic row.
 
         ``infos`` is a round's ``StepInfos``, whose (U,) and (U, D) arrays
-        are read as they are. Every norm, dot and residual is taken over the
-        rows at once. The values are folded into the extrema in worker order
-        with Python's ``min``/``max``, as one worker at a time would.
+        are read as they are. The norms, dots and residuals are taken in
+        ``row_runs``, so no (U, D) temporary is made, into (U,) arrays of the
+        round. Those are folded into the extrema in worker order with
+        Python's ``min``/``max``, as one worker at a time would.
         """
         w_pre, w_post, v_pre, v_post, w_p, grad = (
             infos.vectors[name] for name in ("w_pre", "w_post", "v_pre", "v_post", "w_p_pre", "grad")
         )
-        c0, c1, c2, w_g = infos.c0, infos.c1[:, None], infos.c2[:, None], infos.w_g_used
+        c0, w_g = infos.c0, infos.w_g_used
         grad_sqs = infos.grad_sq.tolist()
         for grad_sq in grad_sqs:
             self.grad_sq_sum += grad_sq
         self.grad_sq_count += len(grad_sqs)
         self.grad_sq_min = min(self.grad_sq_min, *grad_sqs)
 
-        # Personal/global optimal velocities relative to the previous position;
-        # a step without a global best has none to move toward.
-        w_prev = w_pre - v_pre
-        v_p, v_g = w_p - w_prev, (w_prev if w_g is None else w_g) - w_prev
-        recon = -self.h.alpha * grad
-        recon = recon + (c0 - c1 - c2) * v_pre
-        recon = recon + c1 * v_p + c2 * v_g
+        # Per row, for the velocity and the personal and global optimal
+        # velocities: cosine, norm ratio and norm; and both residuals' maxima.
+        count, dim = grad.shape
+        cos, ratio, vnorm = np.empty((3, 3, count))
+        recursion, velocity = np.empty((2, count))
+        for rows in row_runs(count, dim):
+            c1, c2 = infos.c1[rows, None], infos.c2[rows, None]
+            # Optimal velocities relative to the previous position; a step
+            # without a global best has none to move toward.
+            w_prev = w_pre[rows] - v_pre[rows]
+            v_p, v_g = w_p[rows] - w_prev, (w_prev if w_g is None else w_g) - w_prev
+            recon = -self.h.alpha * grad[rows]
+            recon = recon + (c0 - c1 - c2) * v_pre[rows]
+            recon = recon + c1 * v_p + c2 * v_g
+            recursion[rows] = np.max(np.abs(v_post[rows] - recon), axis=1)
+            velocity[rows] = np.max(np.abs(v_post[rows] - (w_post[rows] - w_pre[rows])), axis=1)
+            gnorm, neg_grad = row_norms(grad[rows]), -grad[rows]
+            for k, vec in enumerate((v_pre[rows], v_p, v_g)):
+                cos[k, rows], ratio[k, rows], vnorm[k, rows] = _cosines(vec, neg_grad, gnorm)
 
         # Zero-gradient samples carry no direction; zero-velocity ones no angle.
         sampled = infos.grad_sq != 0.0
         n_sampled = int(np.count_nonzero(sampled))
         self.zero_grad += len(infos.ids) - n_sampled
-        gnorm, neg_grad = row_norms(grad), -grad
         row = dict.fromkeys(COSINE_COLUMNS, math.nan)   # nan where a round has no samples
-        for vec, ext_q, ext_u, suffix in (
-            (v_pre, self.q, self.u, ""), (v_p, self.qp, self.up, "_p"), (v_g, self.qg, self.ug, "_g"),
+        for k, (ext_q, ext_u, suffix) in enumerate(
+            ((self.q, self.u, ""), (self.qp, self.up, "_p"), (self.qg, self.ug, "_g"))
         ):
-            cos, ratio, vnorm = _cosines(vec, neg_grad, gnorm)
-            kept = sampled & (vnorm != 0.0)
+            kept = sampled & (vnorm[k] != 0.0)
             self.zero_velocity += n_sampled - int(np.count_nonzero(kept))
-            for ext, key, vals in ((ext_q, "cos", cos[kept].tolist()), (ext_u, "ratio", ratio[kept].tolist())):
+            for ext, key, vals in ((ext_q, "cos", cos[k, kept].tolist()),
+                                   (ext_u, "ratio", ratio[k, kept].tolist())):
                 ext.add(*vals)
                 if vals:
                     row[f"{key}{suffix}_min"], row[f"{key}{suffix}_max"] = min(vals), max(vals)
         row["grad_sq_mean"] = float(np.mean(grad_sqs))
-        row["recursion_residual"] = max(0.0, *np.max(np.abs(v_post - recon), axis=1).tolist())
-        row["velocity_residual"] = max(
-            0.0, *np.max(np.abs(v_post - (w_post - w_pre)), axis=1).tolist()
-        )
+        row["recursion_residual"] = max(0.0, *recursion.tolist())
+        row["velocity_residual"] = max(0.0, *velocity.tolist())
         return row
 
     @property
@@ -239,11 +249,14 @@ def genie_step(
 def divergence_row(worker_ws: np.ndarray, genie: GenieState) -> dict[str, float]:
     """The round's DIVERGENCE_COLUMNS: mean and max distance of the (U, D)
     worker models to the genie, relative to the genie's norm; nan while the
-    genie sits at the origin."""
+    genie sits at the origin. The distances are taken in ``row_runs``."""
     gnorm = float(np.linalg.norm(genie.w))
     if gnorm == 0.0:
         return dict.fromkeys(DIVERGENCE_COLUMNS, math.nan)
-    divs = row_norms(worker_ws - genie.w) / gnorm
+    dist = np.empty(len(worker_ws))
+    for rows in row_runs(*worker_ws.shape):
+        dist[rows] = row_norms(worker_ws[rows] - genie.w)
+    divs = dist / gnorm
     return {"divergence_mean": float(np.mean(divs)), "divergence_max": float(np.max(divs))}
 
 

@@ -152,7 +152,11 @@ def run_variant(
 
     records = []
     tested, test_acc = None, math.nan   # a swarm round without a broadcast keeps its w_g
-    for t, (outcome, w_test, worker_ws) in enumerate(rounds):
+    # A round's collected vectors go before the next round collects its own:
+    # nothing here holds a round past its record (``enumerate`` would keep
+    # its last item while the generator steps the next round).
+    for outcome, w_test, worker_ws in rounds:
+        t = len(records)
         diag_row: dict[str, float] = {}
         if stats is not None:
             diag_row.update(stats.consume_round(outcome.step_infos))
@@ -178,6 +182,7 @@ def run_variant(
                 diag=diag_row,
             )
         )
+        del outcome
     return RunResult(row.name, setup.seed, records, stats)
 
 
@@ -186,7 +191,8 @@ def _swarm_rounds(row: Variant, setup, h, attack, verification, collect_vectors)
     models); the model to test is the global best, None until one exists.
     The workers are one population, its rows copied once from the workers'
     start and advanced in place by every round, so a round's worker models
-    are valid until the next one."""
+    are valid until the next one. A round's outcome is let go before the next
+    round steps, so one round's collected vectors are alive at a time."""
     workers = make_workers(setup, h, row.global_train, row.score)
     if attack.active:
         workers = [
@@ -205,6 +211,7 @@ def _swarm_rounds(row: Variant, setup, h, attack, verification, collect_vectors)
     for t in range(h.rounds):
         pop, ps, outcome = run_round(pop, ps, wiring, t, collect_vectors=collect_vectors)
         yield outcome, ps.w_g, pop.w
+        del outcome
 
 
 def _fedavg_rounds(row: Variant, setup, h):

@@ -35,6 +35,7 @@ from .experiment import (
     build_setup,
     draw_labels,
     initial_w_for,
+    label_set,
     population_batch,
 )
 from .model import loss
@@ -159,7 +160,7 @@ def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a config; every check that needs no data runs here."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path, encoding="utf-8")
+        read = parser.read(path, encoding="utf-8-sig")   # a byte-order mark is not a key
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is malformed: {exc}") from None
     if not read:
@@ -318,14 +319,16 @@ def run_experiment(config_path: str, output_dir: str | None = None,
     diag_rows: dict[tuple[str, int], dict] = {}
     current, started = ("data setup", seeds[0]), False
     try:
-        # A ValueError or an unreadable input file in the first seed's world
-        # or a later seed's label-level draws (kept for its world) means the
-        # config cannot be met; once the output directory is touched it is a fault.
-        setup = build_setup(*setup_args, seeds[0], cfg.init_mode)
-        draws = {}
-        for seed in seeds[1:]:
+        # A ValueError or an unreadable input file in the labels, the first
+        # seed's world or a later seed's label-level draws (kept for its
+        # world) means the config cannot be met; once the output directory is
+        # touched it is a fault. Every seed draws from the one label set.
+        world, draws, setup = label_set(cfg.data), {}, None
+        for seed in seeds:
             current = ("data setup", seed)
-            draws[seed] = draw_labels(*setup_args, seed, cfg.init_mode)
+            draws[seed] = draw_labels(*setup_args, seed, cfg.init_mode, world=world)
+            if setup is None:
+                setup = build_setup(*setup_args, seed, cfg.init_mode, draws=draws.pop(seed))
         try:
             runs_dir.mkdir(parents=True, exist_ok=True)
             # Files of an earlier run would sit beside this run's as if its own.

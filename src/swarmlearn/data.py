@@ -108,10 +108,11 @@ class KeptRows(LabelSet):
     """A training set addressed by original row number: every row's label,
     and the float64 features of only the rows some consumer reads.
 
-    ``store`` holds the kept rows in original row order; ``position`` maps
-    each original row to its store row, and every row that was not kept to
-    ``len(store)``, one past the end, so reading it raises IndexError and
-    never returns a neighbouring row.
+    ``store`` holds the kept rows in the order its builder chose (readers
+    find every row through ``position``); ``position`` maps each original
+    row to its store row, and every row that was not kept to ``len(store)``,
+    one past the end, so reading it raises IndexError and never returns a
+    neighbouring row.
     """
 
     store: Dataset
@@ -119,7 +120,7 @@ class KeptRows(LabelSet):
 
     @classmethod
     def of(cls, full: LabelSet, kept: np.ndarray, store: Dataset) -> "KeptRows":
-        """``store`` holds the rows ``kept`` (ascending) of ``full``."""
+        """``store`` holds the rows ``kept`` of ``full``, in that order."""
         position = np.full(len(full), len(kept), dtype=np.intp)
         position[kept] = np.arange(len(kept))
         return cls(full.labels, full.num_classes, store, position)
@@ -190,12 +191,15 @@ def read_idx_labels(path: str) -> np.ndarray:
     return raw_labels.astype(np.int64)
 
 
-def load_idx(images_path: str, labels_path: str, num_classes: int = 10, rows=None) -> Dataset:
+def load_idx(images_path: str, labels_path: str, num_classes: int = 10, rows=None,
+             labels: np.ndarray | None = None) -> Dataset:
     """Rows ``rows`` (every row when None), in that order, of an IDX
     image/label file pair as a flat, [0, 1]-scaled dataset. Only those rows
-    of the uint8 payload are converted."""
+    of the uint8 payload are converted. ``labels`` are the label file's,
+    read earlier; without them the file is read here."""
     (count, height, width), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, 3, "images")
-    labels = read_idx_labels(labels_path)
+    if labels is None:
+        labels = read_idx_labels(labels_path)
     if count != len(labels):
         raise ValueError(f"image count {count} != label count {len(labels)}")
     rows = _kept(rows, count)

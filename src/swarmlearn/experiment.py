@@ -104,7 +104,7 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class ExperimentSetup:
-    train: datamod.KeptRows
+    train: datamod.KeptRows     # store: the worker rows, then the shared training rows
     test: Batch
     plan: datamod.PartitionPlan
     shared: datamod.GlobalShared | None
@@ -126,6 +126,17 @@ def _digest_array(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()
 
 
+def label_set(cfg: DataConfig) -> datamod.LabelSet:
+    """Every training row's label: the synthetic blobs' class blocks or the
+    IDX label file's. They do not depend on the seed, so a run takes them
+    once and hands them to every seed's ``draw_labels``."""
+    if cfg.source == "synthetic":
+        labels = datamod.blob_labels(cfg.classes, cfg.per_class)
+    else:
+        labels = datamod.read_idx_labels(cfg.idx_labels)
+    return datamod.LabelSet(labels, cfg.classes)
+
+
 def draw_labels(
     cfg: DataConfig,
     spec_kind: str,
@@ -133,20 +144,19 @@ def draw_labels(
     h: HyperParameters,
     seed: int,
     init_mode: str = "shared",
+    *,
+    world: datamod.LabelSet,
 ) -> tuple[datamod.LabelSet, datamod.PartitionPlan, np.ndarray, np.ndarray, np.ndarray]:
-    """The label-level first step of ``build_setup``: the model check, the
-    labels, the partition, the shared sets and a carved test split. These are
-    the draws that can make one seed infeasible; no feature row is built.
+    """The label-level first step of ``build_setup``: the model check, then
+    the partition, the shared sets and a carved test split drawn from the
+    labels ``world`` (``label_set(cfg)``, which a run takes once for all
+    seeds). These are the draws that can make one seed infeasible; no
+    feature row is built.
 
     Returns the label set, the partition plan, and the shared training,
     shared scoring and carved test rows, in original row numbers (the carved
     rows are empty unless a test split is carved)."""
     ModelConfig(spec_kind, tuple(hidden_dims), init_mode)
-    if cfg.source == "synthetic":
-        labels = datamod.blob_labels(cfg.classes, cfg.per_class)
-    else:
-        labels = datamod.read_idx_labels(cfg.idx_labels)
-    world = datamod.LabelSet(labels, cfg.classes)
 
     if cfg.partition == "iid":
         plan = datamod.partition_iid(
@@ -189,12 +199,13 @@ def build_setup(
     # Labels first: the partition, the shared sets and a carved test split
     # are drawn from them, then only the rows some consumer reads are built.
     if draws is None:
-        draws = draw_labels(cfg, spec_kind, hidden_dims, h, seed, init_mode)
+        draws = draw_labels(cfg, spec_kind, hidden_dims, h, seed, init_mode, world=label_set(cfg))
     world, plan, train_idx, score_idx, test_idx = draws
 
-    # one buffer: the stored worker and shared-train rows in original row
-    # order, then the scoring rows, then a carved test split
-    stored = np.sort(np.concatenate([plan.all_indices(), train_idx]))
+    # one buffer: the store (the worker rows, then the shared training rows,
+    # each in original row order), then the scoring rows, then a carved test
+    # split; the store's first rows are the population
+    stored = np.concatenate([np.sort(plan.all_indices()), train_idx])
     rows = np.concatenate([stored, score_idx, test_idx])
     if cfg.source == "synthetic":
         kept = datamod.synthetic_blobs(
@@ -202,7 +213,8 @@ def build_setup(
             derived_rng(seed, DOMAIN_ORCHESTRATOR, 0), rows=rows,
         )
     else:
-        kept = datamod.load_idx(cfg.idx_images, cfg.idx_labels, cfg.classes, rows=rows)
+        kept = datamod.load_idx(cfg.idx_images, cfg.idx_labels, cfg.classes, rows=rows,
+                                labels=world.labels)
     bounds = (0, len(stored), len(stored) + len(score_idx), len(rows))
     store, score, carved = (
         datamod.Dataset(kept.features[lo:hi], kept.labels[lo:hi], cfg.classes)
@@ -306,5 +318,8 @@ def make_workers(
 
 
 def population_batch(setup: ExperimentSetup) -> Batch:
-    """Union of all worker partitions: the empirical population."""
-    return setup.train.batch(np.sort(setup.plan.all_indices()))
+    """Union of all worker partitions in original row order: the empirical
+    population, a view of the first rows of ``setup.train``'s store."""
+    count = sum(map(len, setup.plan.worker_indices))
+    store = setup.train.store
+    return Batch(store.features[:count], store.labels[:count])

@@ -36,10 +36,17 @@ from .core import (
 from .data import Rows
 from .model import Batch, ModelSpec, Workspace, loss, loss_and_gradient, row_dots
 
-# The step phase updates the workers in runs of rows whose (rows, D)
-# gradients fit this many bytes: a wide model makes no (U, D) temporaries,
-# and each run's update stays within a core's cache.
+# The step phase and the diagnostics work over runs of rows whose (rows, D)
+# arrays fit this many bytes: a wide model makes no (U, D) temporaries, and
+# each run's arithmetic stays within a core's cache.
 _ROW_BUDGET_BYTES = 1 << 18
+
+
+def row_runs(count: int, dim: int) -> list[slice]:
+    """``count`` rows of ``dim`` float64 values as consecutive runs, in
+    order, each of as many rows as fit ``_ROW_BUDGET_BYTES`` (one at least)."""
+    run = max(1, _ROW_BUDGET_BYTES // (8 * dim))
+    return [slice(lo, min(count, lo + run)) for lo in range(0, count, run)]
 
 
 @dataclass
@@ -300,9 +307,8 @@ def worker_step(
     pre-update parameters, one kernel call per worker, written into a run's
     (rows, D) gradient buffer (the collected ``grad`` rows when collecting
     vectors); the social pull is suppressed until a global best exists. The
-    rows are updated in runs that fit ``_ROW_BUDGET_BYTES``, through the
-    crew's scratch buffers. A non-finite row names its worker and leaves the
-    population partly stepped.
+    rows are updated in ``row_runs``, through the crew's scratch buffers. A
+    non-finite row names its worker and leaves the population partly stepped.
     """
     crew = pop.crew
     c0 = inertia_schedule(h, t)
@@ -314,9 +320,8 @@ def worker_step(
     vectors = dict(
         w_pre=pop.w.copy(), v_pre=pop.v.copy(), w_p_pre=pop.w_p.copy(), grad=np.empty((count, dim)),
     ) if collect_vectors else {}
-    run = max(1, _ROW_BUDGET_BYTES // (8 * dim))
-    for lo in range(0, count, run):
-        rows = slice(lo, min(count, lo + run))
+    for rows in row_runs(count, dim):
+        lo = rows.start
         batch = crew.batches(t, rows)
         part = (vectors["grad"][rows] if collect_vectors
                 else crew.work.array("grad", (len(batch.labels), dim)))

@@ -1,13 +1,14 @@
 import itertools
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmlearn import analysis
+from swarmlearn import analysis, swarm
 from swarmlearn.attacks import AttackSpec
 from swarmlearn.core import DOMAIN_DIAG, HyperParameters, derived_rng
 from swarmlearn.data import label_histogram, synthetic_blobs
@@ -193,6 +194,125 @@ def test_consume_round_equals_per_worker_oracle(rounds, alpha):
             assert same_float(got[key], want[key]), key
         for a, b in zip(stats_state(stats), stats_state(oracle)):
             assert same_float(a, b)
+
+
+class SinglePassCosineStats(analysis.CosineStats):
+    """The ``consume_round`` the package had before it worked in row runs:
+    every velocity, residual and norm taken over all (U, D) rows at once."""
+
+    def consume_round(self, infos):
+        w_pre, w_post, v_pre, v_post, w_p, grad = (
+            infos.vectors[name] for name in ("w_pre", "w_post", "v_pre", "v_post", "w_p_pre", "grad")
+        )
+        c0, c1, c2, w_g = infos.c0, infos.c1[:, None], infos.c2[:, None], infos.w_g_used
+        grad_sqs = infos.grad_sq.tolist()
+        for grad_sq in grad_sqs:
+            self.grad_sq_sum += grad_sq
+        self.grad_sq_count += len(grad_sqs)
+        self.grad_sq_min = min(self.grad_sq_min, *grad_sqs)
+
+        w_prev = w_pre - v_pre
+        v_p, v_g = w_p - w_prev, (w_prev if w_g is None else w_g) - w_prev
+        recon = -self.h.alpha * grad
+        recon = recon + (c0 - c1 - c2) * v_pre
+        recon = recon + c1 * v_p + c2 * v_g
+
+        sampled = infos.grad_sq != 0.0
+        n_sampled = int(np.count_nonzero(sampled))
+        self.zero_grad += len(infos.ids) - n_sampled
+        gnorm, neg_grad = analysis.row_norms(grad), -grad
+        row = dict.fromkeys(analysis.COSINE_COLUMNS, math.nan)
+        for vec, ext_q, ext_u, suffix in (
+            (v_pre, self.q, self.u, ""), (v_p, self.qp, self.up, "_p"), (v_g, self.qg, self.ug, "_g"),
+        ):
+            cos, ratio, vnorm = analysis._cosines(vec, neg_grad, gnorm)
+            kept = sampled & (vnorm != 0.0)
+            self.zero_velocity += n_sampled - int(np.count_nonzero(kept))
+            for ext, key, vals in ((ext_q, "cos", cos[kept].tolist()), (ext_u, "ratio", ratio[kept].tolist())):
+                ext.add(*vals)
+                if vals:
+                    row[f"{key}{suffix}_min"], row[f"{key}{suffix}_max"] = min(vals), max(vals)
+        row["grad_sq_mean"] = float(np.mean(grad_sqs))
+        row["recursion_residual"] = max(0.0, *np.max(np.abs(v_post - recon), axis=1).tolist())
+        row["velocity_residual"] = max(
+            0.0, *np.max(np.abs(v_post - (w_post - w_pre)), axis=1).tolist()
+        )
+        return row
+
+
+def single_pass_divergence_row(worker_ws, genie):
+    """``divergence_row`` before it worked in row runs: one (U, D) difference."""
+    gnorm = float(np.linalg.norm(genie.w))
+    if gnorm == 0.0:
+        return dict.fromkeys(analysis.DIVERGENCE_COLUMNS, math.nan)
+    divs = analysis.row_norms(worker_ws - genie.w) / gnorm
+    return {"divergence_mean": float(np.mean(divs)), "divergence_max": float(np.max(divs))}
+
+
+def assert_same_rounds(rounds, h, want_cls):
+    """``consume_round`` and the ``want_cls`` oracle give the same row for
+    every round and hold the same running state after it, bit for bit."""
+    stats, want_stats = analysis.CosineStats(h), want_cls(h)
+    for infos in rounds:
+        got, want = stats.consume_round(infos), want_stats.consume_round(infos)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert same_float(got[key], want[key]), key
+        for a, b in zip(stats_state(stats), stats_state(want_stats)):
+            assert same_float(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(step_rounds(), st.sampled_from([0.0, 0.01, 0.1]), st.integers(1, 5))
+def test_consume_round_in_row_runs_equals_one_pass(rounds, alpha, run):
+    # a budget of ``run`` rows splits the workers into several row runs; the
+    # per-row values and the worker-order folds are those of one pass
+    h = HyperParameters(rounds=3, num_workers=1, batch_size=1, alpha=alpha)
+    dim = rounds[0].vectors["grad"].shape[1]
+    with mock.patch.object(swarm, "_ROW_BUDGET_BYTES", 8 * dim * run):
+        assert len(swarm.row_runs(len(rounds[0].ids), dim)) == -(-len(rounds[0].ids) // run)
+        assert_same_rounds(rounds, h, SinglePassCosineStats)
+
+
+def wide_round(rng, count, dim, no_wg):
+    """One round of ``count`` workers over ``dim`` parameters: worker 1 has
+    a zero gradient, worker 2 a zero velocity and a zero personal pull,
+    worker 3 a NaN gradient entry, and the rest plain random rows."""
+    vec = {name: rng.standard_normal((count, dim))
+           for name in ("w_pre", "v_pre", "w_p_pre", "grad", "v_post")}
+    vec["grad"][1] = 0.0
+    vec["v_pre"][2] = 0.0
+    vec["w_p_pre"][2] = vec["w_pre"][2]
+    vec["grad"][3, dim // 2] = math.nan
+    vec["w_post"] = vec["w_pre"] + vec["v_post"]
+    return StepInfos(
+        ids=tuple(range(count)), c0=0.7, c1=rng.uniform(0.0, 2.0, count),
+        c2=np.zeros(count) if no_wg else rng.uniform(0.0, 2.0, count),
+        batch_losses=np.zeros(count), grad_sq=analysis.row_dots(vec["grad"], vec["grad"]),
+        w_g_used=None if no_wg else rng.standard_normal(dim), vectors=vec,
+    )
+
+
+@pytest.mark.parametrize("dim, runs", [(12_000, 3), (40_000, 5)])
+def test_wide_rows_span_several_runs(dim, runs):
+    # past 32,768 parameters a run is one row: the statistics and the
+    # divergence row are those of one pass over all rows, bit for bit
+    count = 5
+    assert len(swarm.row_runs(count, dim)) == runs
+    rng = np.random.default_rng(dim)
+    rounds = [wide_round(rng, count, dim, no_wg) for no_wg in (True, False)]
+    assert_same_rounds(rounds, HyperParameters(alpha=0.01), SinglePassCosineStats)
+    assert_same_rounds(rounds, HyperParameters(alpha=0.01), OracleCosineStats)
+
+    genie = analysis.GenieState(rng.standard_normal(dim), np.zeros(dim))
+    ws = rng.standard_normal((count, dim))
+    poisoned = ws.copy()
+    poisoned[3, 7] = math.nan
+    for worker_ws in (ws, np.broadcast_to(ws[0], ws.shape), poisoned):
+        got = analysis.divergence_row(worker_ws, genie)
+        want = single_pass_divergence_row(worker_ws, genie)
+        assert got.keys() == want.keys()
+        assert all(same_float(got[key], want[key]) for key in want)
 
 
 def test_row_helpers_take_c_ordered_rows_only():

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from swarmlearn import swarm
 from swarmlearn.attacks import AttackSpec
 from swarmlearn.core import (
     DOMAIN_INIT,
@@ -272,6 +274,37 @@ class TestRunVariant:
             tracemalloc.stop()
         assert len(result.records) == h.rounds
         assert peak < 4 * rows_bytes
+
+    def test_diagnostics_hold_one_round_of_vectors(self, monkeypatch):
+        # a diagnostics run holds the engine's w, v and w_p, one round's six
+        # collected vectors and one row run of temporaries (here one row, as
+        # two do not fit the budget), not two rounds' vectors, (U, D)
+        # temporaries or a copy of the population's rows
+        setup, h, rows_bytes = self.wide_rows_setup()
+        row_bytes = rows_bytes // h.num_workers
+        assert 2 * row_bytes > swarm._ROW_BUDGET_BYTES
+        step, collected, alive_at_step = swarm.worker_step, [], []
+
+        def recording_step(*args, **kwargs):
+            alive_at_step.append([ref() is not None for ref in collected])
+            pop, infos = step(*args, **kwargs)
+            collected.append(weakref.ref(infos.vectors["w_pre"]))
+            return pop, infos
+
+        monkeypatch.setattr(swarm, "worker_step", recording_step)
+        tracemalloc.start()
+        try:
+            result = run_variant("cbdsl_full", setup, h,
+                                 diag=DiagnosticsFlags(cosine_stats=True, divergence=True))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == h.rounds
+        # round t's collected vectors are gone when round t + 1 steps
+        assert alive_at_step == [[False] * t for t in range(h.rounds)]
+        # the slack: a row run's eight or so temporaries, and (D,) vectors
+        # such as the genie's and the global best
+        assert peak < (3 + 6) * rows_bytes + 16 * row_bytes
 
     def test_fedavg_workers_carry_no_vectors(self):
         setup, h, rows_bytes = self.wide_rows_setup()

@@ -487,6 +487,50 @@ class TestSeedBySeed:
         # build its world: they are not drawn again
         assert len(calls) == 3
 
+    def test_an_idx_label_file_is_read_once_per_run(self, tmp_path, monkeypatch):
+        import swarmlearn.data as data_mod
+        from test_data import write_idx_images, write_idx_labels
+
+        read, reads = data_mod._read_idx, []
+
+        def recording_read(path, *args):
+            reads.append(Path(path).name)
+            return read(path, *args)
+
+        rng = np.random.default_rng(0)
+        write_idx_images(tmp_path / "images.idx", rng.integers(0, 256, size=(200, 3, 3), dtype=np.uint8))
+        write_idx_labels(tmp_path / "labels.idx", rng.integers(0, 4, size=200).tolist())
+        text = IDX_CONFIG.format(images=tmp_path / "images.idx", labels=tmp_path / "labels.idx")
+        full = write_config(tmp_path, text.replace("seeds = 1", "seeds = 1, 2, 3"), name="full.ini")
+        monkeypatch.setattr(data_mod, "_read_idx", recording_read)
+        assert run_experiment(str(full), output_dir=str(tmp_path / "full")) == 0
+        # the labels do not depend on the seed; each seed reads its images
+        assert sorted(reads) == ["images.idx"] * 3 + ["labels.idx"]
+        monkeypatch.setattr(data_mod, "_read_idx", read)
+        for seed in (1, 2, 3):
+            alone = write_config(tmp_path, text.replace("seeds = 1", f"seeds = {seed}"),
+                                 name=f"seed{seed}.ini")
+            assert run_experiment(str(alone), output_dir=str(tmp_path / f"seed{seed}")) == 0
+            name = Path("runs") / f"cbdsl_gsc_{seed}.csv"
+            assert (tmp_path / f"seed{seed}" / name).read_bytes() == \
+                (tmp_path / "full" / name).read_bytes()
+
+    def test_every_seed_draws_from_one_label_array(self, tmp_path, monkeypatch):
+        import swarmlearn.cli as cli_mod
+
+        draw, worlds = cli_mod.draw_labels, []
+
+        def recording_draw(*args, **kwargs):
+            draws = draw(*args, **kwargs)
+            worlds.append(draws[0])
+            return draws
+
+        monkeypatch.setattr(cli_mod, "draw_labels", recording_draw)
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace("seeds = 1, 2", "seeds = 1, 2, 3")
+        assert run_experiment(str(write_config(tmp_path, text))) == 0
+        assert len(worlds) == 3
+        assert all(np.shares_memory(world.labels, worlds[0].labels) for world in worlds[1:])
+
     def test_a_pairs_outputs_do_not_depend_on_the_other_seeds(self, tmp_path):
         # the shape of perfbench's audit workload at 6 rounds
         sections = {

@@ -226,6 +226,14 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_byte_order_mark_is_read_as_none(tmp_path):
+    # editors on some systems save UTF-8 with a leading byte-order mark
+    text = BASE_CONFIG.format(out=tmp_path / "out")
+    marked = tmp_path / "marked.ini"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_config(str(marked)) == load_config(str(write_config(tmp_path, text)))
+
+
 def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
     assert run_experiment(str(write_config(tmp_path)), seed_override=-1) == 2
     assert capsys.readouterr().err == "config error: --seed-override must be >= 0, got -1\n"

@@ -123,6 +123,13 @@ def test_every_array_a_run_reads_equals_the_full_world(tmp_path, source, partiti
     everyone = np.sort(plan.all_indices())
     assert same(population.features, full.features[everyone])
     assert same(population.labels, full.labels[everyone])
+    # the store holds the worker rows first: the population is a view of
+    # them, the bytes of the gathered batch
+    gathered = setup.train.batch(everyone)
+    assert same(population.features, gathered.features)
+    assert same(population.labels, gathered.labels)
+    assert np.shares_memory(population.features, setup.train.store.features)
+    assert np.shares_memory(population.labels, setup.train.store.labels)
 
     if shared == (0, 0):
         assert setup.shared is None
