@@ -16,6 +16,10 @@ STRATEGIES = ("none", "fake_loss_garbage", "fake_loss_scaled")
 
 @dataclass(frozen=True)
 class AttackSpec:
+    """Which workers forge, how, and the sign-flip scale. Attacker ids and a
+    strategy other than ``none`` go together: either half alone would run
+    unattacked, so it is a ValueError naming the missing half."""
+
     attacker_ids: frozenset[int] = field(default_factory=frozenset)
     strategy: str = "none"
     scale: float = 10.0
@@ -25,10 +29,14 @@ class AttackSpec:
             raise ValueError(f"unknown attack strategy {self.strategy!r}")
         if not math.isfinite(self.scale):
             raise ValueError("attack scale must be finite")
+        if self.attacker_ids and self.strategy == "none":
+            raise ValueError("attackers need a strategy other than none")
+        if self.strategy != "none" and not self.attacker_ids:
+            raise ValueError(f"strategy {self.strategy} names no attackers")
 
     @property
     def active(self) -> bool:
-        return self.strategy != "none" and bool(self.attacker_ids)
+        return bool(self.attacker_ids)
 
 
 def forge_claim(true_claim: float, known_best: float, strategy: str) -> float:

@@ -168,8 +168,6 @@ def run_variant(
         records.append(
             RoundRecord(
                 round_index=t,
-                variant=row.name,
-                seed=setup.seed,
                 f_g=outcome.f_g,
                 train_loss_mean=float(outcome.batch_losses.mean()),
                 train_loss_min=float(outcome.batch_losses.min()),
@@ -193,11 +191,10 @@ def _swarm_rounds(row: Variant, setup, h, attack, verification, collect_vectors)
     start and advanced in place by every round, so a round's worker models
     are valid until the next one. A round's outcome is let go before the next
     round steps, so one round's collected vectors are alive at a time."""
-    workers = make_workers(setup, h, row.global_train, row.score)
-    if attack.active:
-        workers = [
-            replace(w, is_byzantine=w.worker_id in attack.attacker_ids) for w in workers
-        ]
+    workers = [
+        replace(w, is_byzantine=w.worker_id in attack.attacker_ids)
+        for w in make_workers(setup, h, row.global_train, row.score)
+    ]
     pop = Population.of(workers, h)
     shared_score = setup.shared.score.as_batch() if row.score == "shared" else None
     wiring = ProtocolWiring(

@@ -31,7 +31,6 @@ from .experiment import (
     DataConfig,
     ExperimentSetup,
     ModelConfig,
-    RoundRecord,
     build_setup,
     draw_labels,
     initial_w_for,
@@ -192,11 +191,6 @@ def load_config(path: str) -> ExperimentConfig:
         hyper = _from_section(parser, "hyper")
         model = _from_section(parser, "model")
         attack = _from_section(parser, "attack")
-        # either half alone would run unattacked
-        if attack.attacker_ids and attack.strategy == "none":
-            raise ValueError("[attack] attackers need a strategy other than none")
-        if attack.strategy != "none" and not attack.attacker_ids:
-            raise ValueError(f"[attack] strategy {attack.strategy} names no attackers")
         check_variants(variants, hyper.num_workers, attack, data.global_train, data.global_score)
         diagnostics = _from_section(parser, "diagnostics")
     except ValueError as exc:
@@ -246,17 +240,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_run_csv(path: Path, records: list[RoundRecord], diag_cols: tuple[str, ...]):
+def write_run_csv(path: Path, result: RunResult, diag_cols: tuple[str, ...]):
+    """The run's table: one row per round, each with the run's variant and seed."""
     rows = [
         {
-            "round": r.round_index, "variant": r.variant, "seed": r.seed, "f_g": r.f_g,
+            "round": r.round_index, "variant": result.variant, "seed": result.seed, "f_g": r.f_g,
             "train_loss_mean": r.train_loss_mean, "train_loss_min": r.train_loss_min,
             "train_loss_max": r.train_loss_max, "test_accuracy": r.test_accuracy,
             "scalar_uplinks": r.scalar_uplinks, "vector_uplinks": r.vector_uplinks,
             "vector_broadcasts": r.vector_broadcasts, "detections": r.detections,
             **{col: r.diag.get(col, math.nan) for col in diag_cols},
         }
-        for r in records
+        for r in result.records
     ]
     _write_table(path, BASE_COLUMNS + diag_cols, rows)
 
@@ -282,8 +277,9 @@ def summarize(result: RunResult, setup: ExperimentSetup) -> dict:
 def _seed_diagnostics(cfg: ExperimentConfig, setup: ExperimentSetup) -> tuple[float, float]:
     """The Lipschitz estimate and f0, which depend only on the seed's setup."""
     population = population_batch(setup)
+    # 0 classes: diagnostics.csv reads only l_global, which takes no class gradients
     lip = analysis.estimate_model_lipschitz(
-        setup.spec, population, cfg.data.classes, cfg.diagnostics.lipschitz_probes,
+        setup.spec, population, 0, cfg.diagnostics.lipschitz_probes,
         derived_rng(setup.seed, DOMAIN_DIAG, 0),
     )
     return lip.l_global, loss(setup.spec, initial_w_for(setup, 0), population)
@@ -356,7 +352,7 @@ def run_experiment(config_path: str, output_dir: str | None = None,
                     attack=cfg.attack, verification=cfg.verification,
                     diag=cfg.diagnostics,
                 )
-                write_run_csv(runs_dir / f"{variant}_{seed}.csv", result.records, diag_cols)
+                write_run_csv(runs_dir / f"{variant}_{seed}.csv", result, diag_cols)
                 summaries[variant, seed] = summarize(result, setup)
                 if result.cosine_stats is not None:
                     stats[variant] = result.cosine_stats

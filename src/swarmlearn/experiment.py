@@ -87,9 +87,9 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One round's numbers; the run's variant and seed are its ``RunResult``'s."""
+
     round_index: int
-    variant: str
-    seed: int
     f_g: float
     train_loss_mean: float
     train_loss_min: float

@@ -107,10 +107,11 @@ class StepInfos:
     """One round's step quantities in worker-id order: the realized swarm
     weights ``c1``, ``c2`` (``c2`` 0.0 while no global best exists), batch
     losses and squared gradient norms as (U,) arrays, the inertia weight
-    ``c0`` and the global best the step pulled toward. ``vectors`` maps
-    ``w_pre``, ``w_post``, ``v_pre``, ``v_post``, ``w_p_pre`` and ``grad``
-    to (U, D) arrays of the round's own, which later rounds leave as they
-    are; it is empty unless the round collected vectors."""
+    ``c0`` and the global best the step pulled toward. ``vectors``, empty
+    unless the round collected them, maps ``w_pre``, ``v_pre``, ``w_p_pre``
+    and ``grad`` to (U, D) arrays of the round's own, which later rounds
+    leave as they are, and ``w_post``, ``v_post`` to the population's ``w``
+    and ``v``, valid until the next round steps."""
 
     ids: tuple[int, ...]
     c0: float
@@ -301,7 +302,7 @@ def worker_step(
 ) -> tuple[Population, StepInfos]:
     """The round's step phase: every worker takes one hybrid update at the
     current global best, written into the population's rows. Returns the
-    population and the step infos.
+    population and the step infos (collected post-step vectors are those rows).
 
     Each gradient is a mini-batch estimate taken at the worker's
     pre-update parameters, one kernel call per worker, written into a run's
@@ -317,9 +318,8 @@ def worker_step(
         c2 = np.zeros_like(c1)
     count, dim = pop.w.shape
     batch_losses, grad_sq = np.empty(count), np.empty(count)
-    vectors = dict(
-        w_pre=pop.w.copy(), v_pre=pop.v.copy(), w_p_pre=pop.w_p.copy(), grad=np.empty((count, dim)),
-    ) if collect_vectors else {}
+    vectors = dict(w_pre=pop.w.copy(), v_pre=pop.v.copy(), w_p_pre=pop.w_p.copy(), w_post=pop.w,
+                   v_post=pop.v, grad=np.empty((count, dim))) if collect_vectors else {}
     for rows in row_runs(count, dim):
         lo = rows.start
         batch = crew.batches(t, rows)
@@ -349,8 +349,6 @@ def worker_step(
             )
         w[...] = w_new
 
-    if collect_vectors:
-        vectors.update(w_post=pop.w.copy(), v_post=pop.v.copy())
     return pop, StepInfos(crew.ids, c0, c1, c2, batch_losses, grad_sq, w_g, vectors)
 
 

@@ -580,6 +580,18 @@ class TestLipschitzEstimation:
             assert value == 1.5 * raw[0] and used == 8
         assert est.l_classes.shape == (3,)
 
+    def test_global_estimate_takes_no_class_gradients(self):
+        # diagnostics.csv reads only l_global, which the class rows leave as it is
+        ds = synthetic_blobs(3, 60, 4, 5.0, seed=2)
+        spec = ModelSpec("softmax_regression", 4, 3)
+        with_classes, alone = (
+            analysis.estimate_model_lipschitz(spec, ds.as_batch(), classes, probes=8,
+                                              rng=np.random.default_rng(3))
+            for classes in (3, 0)
+        )
+        assert alone.l_global == with_classes.l_global
+        assert alone.l_classes.shape == (0,)
+
     def test_all_degenerate_errors(self):
         with pytest.raises(ValueError, match="degenerate"):
             analysis.estimate_gradient_lipschitz(

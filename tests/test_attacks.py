@@ -25,7 +25,7 @@ SMALL = DataConfig(
 def attacked_world(seed, strategy, attacker=0, verification=True, h=None, with_gtr=True):
     h = h or HyperParameters(rounds=8, num_workers=4, batch_size=5)
     setup = build_setup(SMALL, "softmax_regression", (), h, seed)
-    attack = AttackSpec(frozenset({attacker}), strategy)
+    attack = AttackSpec(frozenset({attacker}), strategy) if strategy != "none" else AttackSpec()
     workers = make_workers(setup, h, with_global_train=with_gtr, score_mode="shared")
     from dataclasses import replace
 
@@ -64,6 +64,21 @@ class TestForgery:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             AttackSpec(frozenset({0}), "dropout")
+
+    @pytest.mark.parametrize("ids, strategy, message", [
+        (frozenset({0}), "none", "attackers need a strategy other than none"),
+        (frozenset(), "fake_loss_garbage", "strategy fake_loss_garbage names no attackers"),
+        (frozenset(), "fake_loss_scaled", "strategy fake_loss_scaled names no attackers"),
+    ])
+    def test_either_half_alone_is_rejected(self, ids, strategy, message):
+        # either half alone used to run unattacked, with no detections
+        with pytest.raises(ValueError) as caught:
+            AttackSpec(ids, strategy)
+        assert str(caught.value) == message
+
+    def test_no_attack_is_inactive(self):
+        assert not AttackSpec().active
+        assert AttackSpec(frozenset({1}), "fake_loss_scaled").active
 
 
 class TestVerificationCatchesForgeries:

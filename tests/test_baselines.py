@@ -276,10 +276,11 @@ class TestRunVariant:
         assert peak < 4 * rows_bytes
 
     def test_diagnostics_hold_one_round_of_vectors(self, monkeypatch):
-        # a diagnostics run holds the engine's w, v and w_p, one round's six
-        # collected vectors and one row run of temporaries (here one row, as
-        # two do not fit the budget), not two rounds' vectors, (U, D)
-        # temporaries or a copy of the population's rows
+        # a diagnostics run holds the engine's w, v and w_p, one round's four
+        # collected copies (the post-step vectors are the engine's w and v)
+        # and one row run of temporaries (here one row, as two do not fit the
+        # budget), not two rounds' vectors, (U, D) temporaries or a copy of
+        # the population's rows
         setup, h, rows_bytes = self.wide_rows_setup()
         row_bytes = rows_bytes // h.num_workers
         assert 2 * row_bytes > swarm._ROW_BUDGET_BYTES
@@ -304,7 +305,7 @@ class TestRunVariant:
         assert alive_at_step == [[False] * t for t in range(h.rounds)]
         # the slack: a row run's eight or so temporaries, and (D,) vectors
         # such as the genie's and the global best
-        assert peak < (3 + 6) * rows_bytes + 16 * row_bytes
+        assert peak < (3 + 4) * rows_bytes + 16 * row_bytes
 
     def test_fedavg_workers_carry_no_vectors(self):
         setup, h, rows_bytes = self.wide_rows_setup()

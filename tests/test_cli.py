@@ -1,5 +1,6 @@
 import configparser
 import csv
+import dataclasses
 import hashlib
 import io
 from pathlib import Path
@@ -7,7 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmlearn.cli import _fmt, load_config, main, report_communication, run_experiment
+from swarmlearn.baselines import RunResult
+from swarmlearn.cli import (
+    BASE_COLUMNS,
+    _fmt,
+    load_config,
+    main,
+    report_communication,
+    run_experiment,
+    write_run_csv,
+)
+from swarmlearn.experiment import RoundRecord
 
 BASE_CONFIG = """\
 [experiment]
@@ -197,6 +208,32 @@ class TestRunExperiment:
         ]
         for a, b in ((rows[0], rows[2]), (rows[1], rows[3])):
             assert (a["lipschitz"], a["f0"]) == (b["lipschitz"], b["f0"])
+
+    def test_seed_diagnostics_probe_no_class(self, tmp_path, monkeypatch):
+        # diagnostics.csv reads only the global estimate, so no class
+        # gradient is taken at the probe points
+        import swarmlearn.analysis as analysis_mod
+
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace("fedavg, ", "") + (
+            "\n[diagnostics]\ncosine_stats = on\nlipschitz_probes = 4\n"
+        )
+        estimate, classes = analysis_mod.estimate_model_lipschitz, []
+        monkeypatch.setattr(
+            analysis_mod, "estimate_model_lipschitz",
+            lambda *args: classes.append(args[2]) or estimate(*args),
+        )
+        assert run_experiment(str(write_config(tmp_path, text))) == 0
+        assert classes == [0, 0]
+
+    def test_run_rows_take_variant_and_seed_from_the_result(self, tmp_path):
+        # a round record holds no per-run facts; the run's table reads them once
+        assert not {"variant", "seed"} & {f.name for f in dataclasses.fields(RoundRecord)}
+        result = RunResult("cbdsl_gsc", 7, [RoundRecord(0, 0.5, 1.0, 0.5, 2.0, 0.25, 4, 1, 1, 0)],
+                           None)
+        write_run_csv(tmp_path / "run.csv", result, ())
+        assert (tmp_path / "run.csv").read_text().splitlines() == [
+            ",".join(BASE_COLUMNS), "0,cbdsl_gsc,7,0.5,1.0,0.5,2.0,0.25,4,1,1,0",
+        ]
 
     def test_summary_totals_match_run_files(self, tmp_path):
         import csv

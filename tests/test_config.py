@@ -1,5 +1,7 @@
 """Config schema, the variant table and exit-code classification."""
+import configparser
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 
@@ -10,7 +12,7 @@ from swarmlearn.attacks import AttackSpec
 from swarmlearn.baselines import VARIANTS, DiagnosticsFlags
 from swarmlearn.cli import load_config, run_experiment
 from swarmlearn.core import HyperParameters
-from swarmlearn.experiment import DataConfig, ModelConfig
+from swarmlearn.experiment import DataConfig, ModelConfig, draw_labels, label_set
 
 from test_cli import BASE_CONFIG, IDX_CONFIG, write_config
 from test_data import write_idx_images, write_idx_labels
@@ -280,6 +282,53 @@ def test_a_repeated_attacker_is_a_config_error(tmp_path, capsys):
     assert run_experiment(str(write_config(tmp_path, text))) == 2
     assert capsys.readouterr().err == "config error: [attack] attackers: lists 0 more than once\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("keys, message", [
+    ("attackers = 0\nstrategy = none", "[attack] attackers need a strategy other than none"),
+    ("strategy = fake_loss_scaled", "[attack] strategy fake_loss_scaled names no attackers"),
+])
+def test_half_an_attack_names_the_missing_half(tmp_path, capsys, keys, message):
+    # AttackSpec checks both halves; the config error prefixes its section
+    text = BASE_CONFIG.format(out=tmp_path / "out").replace("fedavg, ", "") + f"[attack]\n{keys}\n"
+    assert run_experiment(str(write_config(tmp_path, text))) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.rglob("*.ini")), ids=lambda p: p.stem)
+def test_committed_configs_load_and_draw_every_seed(path):
+    # the label-level draws are where a seed can be infeasible; nothing is run
+    cfg = load_config(str(path))
+    world = label_set(cfg.data)
+    for seed in cfg.seeds:
+        draw_labels(cfg.data, cfg.model_kind, cfg.hidden_dims, cfg.hyper, seed, cfg.init_mode,
+                    world=world)
+
+
+# The keys a heterogeneity level may change: the partition and where it writes.
+SWEEP_KEYS = {("data", key) for key in ("partition", "per_worker", "num_shards",
+                                         "shards_per_worker")} | {("experiment", "output_dir")}
+
+
+def _ini_keys(path):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(path, encoding="utf-8")
+    return {(section, key): value for section in parser.sections()
+            for key, value in parser.items(section)}
+
+
+@pytest.mark.parametrize("path", sorted((CONFIGS / "noniid").glob("*.ini")), ids=lambda p: p.stem)
+def test_a_noniid_config_is_desk_at_another_partition(path):
+    desk, level = _ini_keys(CONFIGS / "desk.ini"), _ini_keys(path)
+    changed = {key for key in desk.keys() | level.keys() if desk.get(key) != level.get(key)}
+    assert changed and changed <= SWEEP_KEYS
+
+
+def test_the_noniid_sweep_has_its_three_levels():
+    assert sorted(p.stem for p in (CONFIGS / "noniid").glob("*.ini")) == ["iid", "shards1", "shards4"]
 
 
 def test_value_error_while_running_is_a_runtime_error(tmp_path, monkeypatch, capsys):

@@ -320,22 +320,23 @@ class TestPopulation:
         assert pop.w.tobytes() != moved.tobytes()
 
     def test_step_vectors_outlive_the_round(self):
-        # the vectors a round collects are its own: the next round, which
-        # moves the rows in place, leaves them as they were
+        # the pre-step vectors and the gradient a round collects are its own:
+        # the next round, which moves the rows in place, leaves them as they
+        # were; the post-step vectors are the population's rows themselves
         setup, h, workers, wiring = swarm_world(seed=9)
         pop, ps, _ = run_round(workers, initial_ps(), wiring, 0)
         entering = pop.w.copy(), pop.v.copy(), pop.w_p.copy()
         pop, ps, outcome = run_round(pop, ps, wiring, 1, collect_vectors=True)
         vectors = outcome.step_infos.vectors
-        snapshot = {name: rows.tobytes() for name, rows in vectors.items()}
-        assert [vectors[name].tobytes() for name in ("w_pre", "v_pre", "w_p_pre")] == \
+        own = {name: vectors[name] for name in ("w_pre", "v_pre", "w_p_pre", "grad")}
+        snapshot = {name: rows.tobytes() for name, rows in own.items()}
+        assert [own[name].tobytes() for name in ("w_pre", "v_pre", "w_p_pre")] == \
             [rows.tobytes() for rows in entering]
-        assert vectors["w_post"].tobytes() == pop.w.tobytes()
-        assert vectors["v_post"].tobytes() == pop.v.tobytes()
+        assert vectors["w_post"] is pop.w and vectors["v_post"] is pop.v
         run_round(pop, ps, wiring, 2)
-        assert {name: rows.tobytes() for name, rows in vectors.items()} == snapshot
+        assert {name: rows.tobytes() for name, rows in own.items()} == snapshot
         assert not any(np.shares_memory(rows, pop.w) or np.shares_memory(rows, pop.v)
-                       or np.shares_memory(rows, pop.w_p) for rows in vectors.values())
+                       or np.shares_memory(rows, pop.w_p) for rows in own.values())
 
     def test_step_infos_read_the_round_arrays(self):
         setup, h, workers, wiring = swarm_world(seed=9)
@@ -550,7 +551,9 @@ class TestRoundInvariants:
         )
         setup = build_setup(ROOMY, "softmax_regression", (), h, cfg["seed"], cfg["init_mode"])
         attackers = frozenset(i for i in cfg["attackers"] if i < h.num_workers)
-        attack = AttackSpec(attackers, cfg["strategy"])
+        # either half alone is no attack; the flagged workers then forge nothing
+        attack = AttackSpec(attackers, cfg["strategy"]) \
+            if attackers and cfg["strategy"] != "none" else AttackSpec()
         workers = [
             replace(w, is_byzantine=w.worker_id in attackers)
             for w in make_workers(setup, h, cfg["global_train"], "shared")
@@ -670,7 +673,9 @@ class TestEngineEqualsOracle:
         )
         setup = oracle_setup(cfg["seed"], h.num_workers, cfg["init_mode"], cfg["kind"])
         attackers = frozenset(i for i in cfg["attackers"] if i < h.num_workers)
-        attack = AttackSpec(attackers, cfg["strategy"])
+        # either half alone is no attack; the flagged workers then forge nothing
+        attack = AttackSpec(attackers, cfg["strategy"]) \
+            if attackers and cfg["strategy"] != "none" else AttackSpec()
         score_mode = "local" if cfg["scoring"] == "local" else "shared"
         workers = [
             replace(w, is_byzantine=w.worker_id in attackers)
